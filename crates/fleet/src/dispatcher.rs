@@ -12,6 +12,23 @@
 //! logic is testable without booting appliances; the production backend
 //! wrapping a replica's [`onserve::Deployment`] lives in [`crate::fleet`].
 //!
+//! ## Structure
+//!
+//! [`Dispatcher`] is a thin `Sim`-facing shell over three plain-data
+//! stages, none of which sees the `Sim` or holds a callback:
+//!
+//! * `Admission` — the global window, the optional per-tenant QoS stage
+//!   and the conservation counters: one `offer` decides admit, queue or
+//!   shed, and one `admit` path serves fresh, granted and upload requests.
+//! * `Router` — slots, the affinity pin table, cursors and the canary
+//!   share: candidate filters as passes over one buffer, then pickers
+//!   tried in order.
+//! * `OpLedger` — every dispatched attempt and its watchdog.
+//!
+//! The stages live in one `RefCell`, and the shell keeps one rule: borrow
+//! the state, decide, drop the borrow, then call out (backends,
+//! responders, hooks). Any of those may re-enter the dispatcher.
+//!
 //! ## Failure model
 //!
 //! Replicas can die without draining ([`Dispatcher::eject_backend`]). Every
@@ -25,17 +42,25 @@
 //! retried (at-most-once; see DESIGN.md §failure model). An optional
 //! per-attempt timeout treats a silent backend as dead and ejects it.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use onserve::profile::ExecutionProfile;
-use simkit::engine::EventId;
 use simkit::{Duration, Sim, SimTime, SpanId};
 use wsstack::{SoapFault, SoapValue};
 
 use crate::geo::GeoPlane;
 use crate::health::HealthPlane;
+
+mod admission;
+mod ledger;
+mod router;
+
+use admission::{Admission, Offer, QosTag, Release};
+pub use admission::{QosConfig, QosTier, TenantQos};
+use ledger::{Op, OpLedger};
+use router::{Affinity, Env, Router};
 
 /// One front-door request.
 #[derive(Clone, Debug)]
@@ -61,6 +86,16 @@ pub enum Request {
         /// `None` opts the request out of affinity.
         principal: Option<String>,
     },
+}
+
+impl Request {
+    /// The invoking principal (uploads carry none).
+    fn principal(&self) -> Option<&str> {
+        match self {
+            Request::Invoke { principal, .. } => principal.as_deref(),
+            Request::Upload { .. } => None,
+        }
+    }
 }
 
 /// Completion callback: called exactly once per submitted request.
@@ -181,310 +216,6 @@ impl Default for AffinityConfig {
     }
 }
 
-/// Priority tier for per-tenant QoS. The tier sets the tenant's weight in
-/// both the quota split and the deficit-round-robin drain of the door
-/// queues — gold tenants get four grants for every batch grant when both
-/// are backlogged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum QosTier {
-    /// Interactive / paying traffic: weight 4.
-    Gold,
-    /// The default tier: weight 2.
-    Standard,
-    /// Bulk / best-effort traffic: weight 1.
-    Batch,
-}
-
-impl QosTier {
-    /// All tiers, for sweeps and property tests.
-    pub const ALL: [QosTier; 3] = [QosTier::Gold, QosTier::Standard, QosTier::Batch];
-
-    /// DRR quantum and quota share.
-    pub fn weight(self) -> u64 {
-        match self {
-            QosTier::Gold => 4,
-            QosTier::Standard => 2,
-            QosTier::Batch => 1,
-        }
-    }
-
-    /// Short label for tables and span attributes.
-    pub fn label(self) -> &'static str {
-        match self {
-            QosTier::Gold => "gold",
-            QosTier::Standard => "standard",
-            QosTier::Batch => "batch",
-        }
-    }
-}
-
-/// Per-tenant QoS at the front door ([`Dispatcher::set_qos`]).
-///
-/// With QoS on, every invocation carrying a principal is admitted against
-/// its tenant's *quota* — a soft share of [`DispatcherConfig::max_in_flight`]
-/// proportional to the tenant's tier weight over the total weight of all
-/// known tenants (`max(1, max_in_flight · w/W)`). A tenant at quota does
-/// not shed: its requests wait in a per-tenant FIFO (bounded by
-/// [`QosConfig::queue_depth`]; overflow sheds with per-tenant accounting)
-/// and are granted capacity by deficit round-robin as requests finish —
-/// weighted by tier, deterministic on the virtual clock, no randomness.
-///
-/// *Borrowing*: when capacity is idle — no other tenant is waiting below
-/// its own quota — a tenant may run up to [`QosConfig::borrow`] requests
-/// above quota. Lent slots are never taken from a waiting under-quota
-/// tenant: the grant loop always prefers under-quota queues.
-///
-/// Anonymous invocations and uploads bypass the per-tenant stage and are
-/// admitted against the global `max_in_flight` gate alone, exactly as with
-/// QoS off.
-#[derive(Clone, Debug)]
-pub struct QosConfig {
-    /// Tier for tenants not named in `tiers`.
-    pub default_tier: QosTier,
-    /// Explicit tenant → tier assignments. Tenants listed here are
-    /// registered (and weigh into the quota split) from the start;
-    /// unlisted tenants are registered at `default_tier` on first sight.
-    pub tiers: BTreeMap<String, QosTier>,
-    /// Per-tenant door-queue bound; a request arriving with its tenant's
-    /// queue full is shed.
-    pub queue_depth: usize,
-    /// Requests a tenant may run *above* quota while no under-quota
-    /// tenant is waiting (idle-capacity borrowing). 0 makes quotas hard.
-    pub borrow: usize,
-}
-
-impl Default for QosConfig {
-    fn default() -> Self {
-        QosConfig {
-            default_tier: QosTier::Standard,
-            tiers: BTreeMap::new(),
-            queue_depth: 64,
-            borrow: 1,
-        }
-    }
-}
-
-/// One tenant's QoS ledger and live state, from [`Dispatcher::qos_tenants`].
-/// Conservation: `issued == accepted + shed + queued` at every instant, and
-/// `queued == 0` once the simulation drains.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantQos {
-    /// The tenant's priority tier.
-    pub tier: QosTier,
-    /// Current quota: `max(1, max_in_flight · weight/total_weight)`.
-    pub quota: usize,
-    /// Requests admitted and not yet answered.
-    pub in_flight: usize,
-    /// Requests waiting in the door queue right now.
-    pub queued: usize,
-    /// Front-door submissions (admitted + queued + shed).
-    pub issued: u64,
-    /// Requests admitted past the door.
-    pub accepted: u64,
-    /// Requests refused (queue full, or flushed when every replica left).
-    pub shed: u64,
-    /// Cumulative enqueues (a queued request later counts accepted or
-    /// shed as well — `enqueued` records that it waited).
-    pub enqueued: u64,
-}
-
-/// A request parked at the door, waiting for a DRR grant.
-struct QueuedReq {
-    req: Request,
-    done: Responder,
-    span: SpanId,
-    submitted_at: SimTime,
-}
-
-/// Per-tenant QoS state.
-struct QosTenantState {
-    tier: QosTier,
-    in_flight: usize,
-    queue: VecDeque<QueuedReq>,
-    /// DRR deficit: grants available before the tenant's next top-up.
-    deficit: u64,
-    issued: u64,
-    accepted: u64,
-    shed: u64,
-    enqueued: u64,
-}
-
-impl QosTenantState {
-    fn new(tier: QosTier) -> QosTenantState {
-        QosTenantState {
-            tier,
-            in_flight: 0,
-            queue: VecDeque::new(),
-            deficit: 0,
-            issued: 0,
-            accepted: 0,
-            shed: 0,
-            enqueued: 0,
-        }
-    }
-}
-
-/// The weighted-fair admission stage: per-tenant FIFOs drained by deficit
-/// round-robin. Everything is keyed on event order and the virtual clock —
-/// no randomness — so same-seed runs replay byte-identically.
-struct QosState {
-    cfg: QosConfig,
-    max_in_flight: usize,
-    tenants: BTreeMap<String, QosTenantState>,
-    /// Sum of tier weights over all registered tenants (the quota
-    /// denominator). Grows monotonically as tenants are first seen.
-    total_weight: u64,
-    /// Tenants with queued work, in first-enqueue order — the DRR ring.
-    ring: VecDeque<String>,
-}
-
-impl QosState {
-    fn new(cfg: QosConfig, max_in_flight: usize) -> QosState {
-        let mut q = QosState {
-            cfg,
-            max_in_flight,
-            tenants: BTreeMap::new(),
-            total_weight: 0,
-            ring: VecDeque::new(),
-        };
-        let listed: Vec<(String, QosTier)> = q
-            .cfg
-            .tiers
-            .iter()
-            .map(|(t, tier)| (t.clone(), *tier))
-            .collect();
-        for (t, tier) in listed {
-            q.register(&t, tier);
-        }
-        q
-    }
-
-    /// Ensure `tenant` exists; returns its tier.
-    fn register(&mut self, tenant: &str, tier: QosTier) -> QosTier {
-        if let Some(st) = self.tenants.get(tenant) {
-            return st.tier;
-        }
-        self.total_weight += tier.weight();
-        self.tenants
-            .insert(tenant.to_owned(), QosTenantState::new(tier));
-        tier
-    }
-
-    /// The tier `tenant` would get (config lookup; does not register).
-    fn tier_of(&self, tenant: &str) -> QosTier {
-        self.cfg
-            .tiers
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.cfg.default_tier)
-    }
-
-    /// `tenant`'s quota: its weighted share of the admission window,
-    /// never below one slot.
-    fn quota(&self, tier: QosTier) -> usize {
-        let share = (self.max_in_flight as u64) * tier.weight() / self.total_weight.max(1);
-        (share as usize).max(1)
-    }
-
-    /// Is some tenant waiting below its own quota? While true, no tenant
-    /// may be granted (or admitted) above quota — idle capacity is lent
-    /// only when nobody under-quota wants it.
-    fn under_quota_waiting(&self) -> bool {
-        self.ring.iter().any(|t| {
-            let st = &self.tenants[t];
-            !st.queue.is_empty() && st.in_flight < self.quota(st.tier)
-        })
-    }
-
-    /// May a fresh arrival for `tenant` be admitted immediately? Only if
-    /// its own queue is empty (per-tenant FIFO order), it is under quota —
-    /// or borrowing while no under-quota tenant waits.
-    fn may_admit(&self, tenant: &str) -> bool {
-        let st = &self.tenants[tenant];
-        if !st.queue.is_empty() {
-            return false;
-        }
-        let quota = self.quota(st.tier);
-        if st.in_flight < quota {
-            return true;
-        }
-        st.in_flight < quota.saturating_add(self.cfg.borrow) && !self.under_quota_waiting()
-    }
-
-    /// Park a request in its tenant's FIFO (the caller checked the bound).
-    fn enqueue(&mut self, tenant: &str, item: QueuedReq) {
-        let st = self.tenants.get_mut(tenant).expect("tenant registered");
-        st.queue.push_back(item);
-        st.enqueued += 1;
-        if !self.ring.iter().any(|t| t == tenant) {
-            self.ring.push_back(tenant.to_owned());
-        }
-    }
-
-    /// One deficit-round-robin grant: pop the next eligible tenant's
-    /// queue head. Under-quota waiters are always served first; over-quota
-    /// tenants are served (borrowing) only when no under-quota tenant
-    /// waits. `None` when nothing is eligible.
-    fn next_grant(&mut self) -> Option<(String, QosTier, QueuedReq)> {
-        let under_waiting = self.under_quota_waiting();
-        // each ring member is visited at most twice per grant (top-up,
-        // then serve), so 2·len + 1 passes always reach a fixed point
-        for _ in 0..(self.ring.len() * 2 + 1) {
-            let t = self.ring.front()?.clone();
-            let quota;
-            {
-                let st = self.tenants.get_mut(&t).expect("ring member registered");
-                if st.queue.is_empty() {
-                    st.deficit = 0;
-                    self.ring.pop_front();
-                    continue;
-                }
-                quota = {
-                    let tier = st.tier;
-                    let w = tier.weight();
-                    let share = (self.max_in_flight as u64) * w / self.total_weight.max(1);
-                    (share as usize).max(1)
-                };
-                let cap = if under_waiting {
-                    quota
-                } else {
-                    quota.saturating_add(self.cfg.borrow)
-                };
-                if st.in_flight >= cap {
-                    // not eligible this round: rotate past without
-                    // touching its deficit
-                    self.ring.rotate_left(1);
-                    continue;
-                }
-                if st.deficit == 0 {
-                    st.deficit = st.tier.weight();
-                    self.ring.rotate_left(1);
-                    continue;
-                }
-                st.deficit -= 1;
-                let item = st.queue.pop_front().expect("non-empty queue");
-                let tier = st.tier;
-                return Some((t, tier, item));
-            }
-        }
-        None
-    }
-
-    /// Pop every queued request (total-outage flush: nothing can ever be
-    /// granted once the last replica is gone).
-    fn flush_all(&mut self) -> Vec<(String, QueuedReq)> {
-        let mut out = Vec::new();
-        for t in std::mem::take(&mut self.ring) {
-            let st = self.tenants.get_mut(&t).expect("ring member registered");
-            st.deficit = 0;
-            while let Some(item) = st.queue.pop_front() {
-                out.push((t.clone(), item));
-            }
-        }
-        out
-    }
-}
-
 /// Dispatcher parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DispatcherConfig {
@@ -550,180 +281,82 @@ pub struct DispatchCounters {
     pub forwarded: u64,
 }
 
-struct Slot {
-    backend: Rc<dyn Backend>,
-    /// Ops currently outstanding on this backend (attempt granularity).
-    ops: Vec<u64>,
-    draining: bool,
-    /// Probation-weighted by the gray-failure detector: the slot stays in
-    /// rotation but only receives probe traffic (every Nth route) until
-    /// the detector clears or ejects it.
-    probation: bool,
-    /// The backend's `<name>.cpu.busy` recorder key, precomputed so the
-    /// utilization-weighted pick allocates nothing per candidate.
-    busy_key: String,
-}
-
-impl Slot {
-    fn outstanding(&self) -> usize {
-        self.ops.len()
-    }
-}
+/// Why a request with nowhere to go is refused.
+const NO_REPLICAS: &str = "no replicas in rotation";
 
 /// How one dispatched attempt ended.
 enum OpOutcome {
     /// The backend answered (well-formed response or application fault).
-    Answered(Result<SoapValue, SoapFault>),
+    Answer(Result<SoapValue, SoapFault>),
     /// The named backend was ejected while the attempt was outstanding,
     /// or its watchdog fired.
-    BackendLost(String),
+    Lost(String),
 }
 
-/// How an attempt resolves once its fate is known.
-type OpComplete = Box<dyn FnOnce(&mut Sim, OpOutcome)>;
-
-/// One outstanding attempt in the central op table.
-struct PendingOp {
-    backend: String,
-    complete: OpComplete,
-    timeout: Option<EventId>,
-    /// When the attempt was dispatched — the health plane's latency sample
-    /// is `answer time − started`.
-    started: SimTime,
-}
-
-/// The QoS identity an admitted request carries end-to-end: set once at
-/// admission and never re-derived, so a retried, re-pinned, or
-/// canary-shifted request keeps its tenant and priority tier.
-#[derive(Clone)]
-struct QosTag {
-    tenant: String,
-    tier: QosTier,
-    /// When the request first hit the front door (queue wait included) —
-    /// the per-tenant latency series measures door-to-answer.
-    submitted_at: SimTime,
+/// One front-door request on its way in: admitted, parked at the door,
+/// or shed.
+struct Arrival {
+    req: Request,
+    done: Responder,
+    span: SpanId,
 }
 
 /// One admitted invocation making its way through attempts.
 struct Ticket {
-    req: Request,
-    done: Option<Responder>,
-    span: SpanId,
+    arrival: Arrival,
     retries: u32,
     /// Present iff the request was admitted through the QoS stage.
     qos: Option<QosTag>,
 }
 
-/// One affinity-table entry.
-enum Pin {
-    /// Pinned to the named live replica.
-    Live(String),
-    /// The pinned replica (named, so a geo plane can still look up its
-    /// home site) was ejected or drained; the key is reassigned
-    /// (rendezvous hash) on its next request.
-    Orphaned(String),
+/// The join of one upload broadcast: answers once every branch has.
+struct Join {
+    span: SpanId,
+    remaining: usize,
+    first_fault: Option<SoapFault>,
+    done: Option<Responder>,
 }
 
-/// Bounded `principal → replica` table, oldest-key eviction.
-#[derive(Default)]
-struct AffinityTable {
-    pins: HashMap<String, Pin>,
-    /// Keys in insertion order, for capacity eviction.
-    order: VecDeque<String>,
+/// What resolving an op continues.
+enum Then {
+    /// An invocation attempt: settle, or retry on loss.
+    Attempt(Ticket),
+    /// One branch of an upload broadcast.
+    Branch(Rc<RefCell<Join>>),
 }
 
-impl AffinityTable {
-    /// Pin `key` to `replica`, evicting the oldest key at capacity.
-    fn pin(&mut self, key: &str, replica: &str, capacity: usize) {
-        if let Some(p) = self.pins.get_mut(key) {
-            *p = Pin::Live(replica.to_owned());
-            return;
-        }
-        while self.order.len() >= capacity.max(1) {
-            if let Some(old) = self.order.pop_front() {
-                self.pins.remove(&old);
-            }
-        }
-        self.pins.insert(key.to_owned(), Pin::Live(replica.to_owned()));
-        self.order.push_back(key.to_owned());
-    }
+/// A registered attempt: `(op id, backend, slot depth)`.
+type Opened = (u64, Rc<dyn Backend>, usize);
+type DrainHook = Rc<dyn Fn(&mut Sim, &str)>;
+type UploadHook = Rc<dyn Fn(&mut Sim, &Request)>;
 
-    /// Orphan every pin pointing at `replica` (loss/drain invalidation).
-    fn orphan_replica(&mut self, replica: &str) {
-        for p in self.pins.values_mut() {
-            if matches!(p, Pin::Live(r) if r == replica) {
-                *p = Pin::Orphaned(replica.to_owned());
-            }
-        }
-    }
-}
-
-/// Rendezvous (highest-random-weight) score of `replica` for `key`:
-/// FNV-1a over both names, finished with a splitmix64 mix. Deliberately
-/// hand-rolled — `std`'s default hasher is randomly seeded per process,
-/// which would break byte-identical replays.
-fn rendezvous_score(key: &str, replica: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes().iter().chain(&[0xff]).chain(replica.as_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-type DrainHook = Box<dyn Fn(&mut Sim, &str)>;
-type UploadHook = Box<dyn Fn(&mut Sim, &Request)>;
-
-/// Canary traffic share ([`Dispatcher::set_canary`]): while set, a
-/// deterministic counter sends `share_pct`% of first-sight routes to
-/// the named replica instead of the base-policy pick. No randomness —
-/// route `k` goes to the canary iff `k % 100 < share_pct`, so replays
-/// are byte-identical.
-struct CanaryShare {
-    target: String,
-    share_pct: u32,
-    cursor: Cell<u64>,
-}
-
-/// Of every `PROBE_EVERY` routes made while any slot is on probation, one
-/// may consider the probationers — so a recovering replica still sees
-/// enough traffic for the detector to clear it.
-const PROBE_EVERY: u64 = 8;
-
-/// The front-end request router.
-pub struct Dispatcher {
-    cfg: DispatcherConfig,
-    slots: RefCell<Vec<Slot>>,
-    rr_cursor: Cell<usize>,
-    in_flight: Cell<usize>,
-    counters: RefCell<DispatchCounters>,
-    next_op: Cell<u64>,
-    ops: RefCell<HashMap<u64, PendingOp>>,
-    affinity: RefCell<AffinityTable>,
-    drain_hook: RefCell<Option<DrainHook>>,
-    upload_hook: RefCell<Option<UploadHook>>,
+/// Everything mutable, behind the dispatcher's one cell.
+struct State {
+    admission: Admission<Arrival>,
+    router: Router,
+    ledger: OpLedger<Then>,
     /// Optional fleet health plane; when attached, every attempt feeds a
     /// per-replica latency/error sample and every admitted request feeds
     /// queue-depth and per-tenant series. Pure measurement — attaching it
     /// schedules nothing and draws no randomness.
-    health: RefCell<Option<Rc<HealthPlane>>>,
+    health: Option<Rc<HealthPlane>>,
     /// Optional geo plane; when attached, routing filters out replicas on
     /// severed sites, first-sight picks prefer the site nearest the
     /// request's origin (spilling outward when a site saturates), and —
     /// with federation on — pinned work whose home site is severed is
     /// forwarded to the nearest healthy peer without losing the pin.
-    geo: RefCell<Option<Rc<GeoPlane>>>,
-    /// Counts routes made while probation is active, for the probe window.
-    probe_cursor: Cell<u64>,
-    /// Optional canary share: a slice of first-sight traffic diverted to
-    /// one replica during a canary judgment window.
-    canary: RefCell<Option<CanaryShare>>,
-    /// Optional per-tenant QoS stage ([`Dispatcher::set_qos`]). `None` —
-    /// the default — leaves the admission path byte-identical to the
-    /// QoS-less dispatcher.
-    qos: RefCell<Option<QosState>>,
+    geo: Option<Rc<GeoPlane>>,
+    /// Held as `Rc` and cloned out before each call, so a hook may
+    /// re-enter the dispatcher — even drain another idle backend, whose
+    /// retirement then fires the hook again.
+    drain_hook: Option<DrainHook>,
+    upload_hook: Option<UploadHook>,
+}
+
+/// The front-end request router.
+pub struct Dispatcher {
+    cfg: DispatcherConfig,
+    state: RefCell<State>,
 }
 
 impl Dispatcher {
@@ -731,20 +364,15 @@ impl Dispatcher {
     pub fn new(cfg: DispatcherConfig) -> Rc<Dispatcher> {
         Rc::new(Dispatcher {
             cfg,
-            slots: RefCell::new(Vec::new()),
-            rr_cursor: Cell::new(0),
-            in_flight: Cell::new(0),
-            counters: RefCell::new(DispatchCounters::default()),
-            next_op: Cell::new(0),
-            ops: RefCell::new(HashMap::new()),
-            affinity: RefCell::new(AffinityTable::default()),
-            drain_hook: RefCell::new(None),
-            upload_hook: RefCell::new(None),
-            health: RefCell::new(None),
-            geo: RefCell::new(None),
-            probe_cursor: Cell::new(0),
-            canary: RefCell::new(None),
-            qos: RefCell::new(None),
+            state: RefCell::new(State {
+                admission: Admission::new(cfg.max_in_flight),
+                router: Router::new(cfg.policy, cfg.affinity),
+                ledger: OpLedger::default(),
+                health: None,
+                geo: None,
+                drain_hook: None,
+                upload_hook: None,
+            }),
         })
     }
 
@@ -754,42 +382,21 @@ impl Dispatcher {
     /// their queue overflows. Attach before traffic; anonymous requests
     /// and uploads keep the plain global gate.
     pub fn set_qos(&self, cfg: QosConfig) {
-        *self.qos.borrow_mut() = Some(QosState::new(cfg, self.cfg.max_in_flight));
+        self.state.borrow_mut().admission.set_qos(cfg);
     }
 
     /// Is the per-tenant QoS stage attached?
     pub fn qos_enabled(&self) -> bool {
-        self.qos.borrow().is_some()
+        self.state.borrow().admission.qos_enabled()
     }
 
     /// Per-tenant QoS ledgers and live state (empty map with QoS off).
     /// Every tenant satisfies `issued == accepted + shed + queued`, and
     /// an under-quota tenant only ever waits because the global window is
-    /// full (or no replica is left) — the fairness invariant the
-    /// proptests audit mid-run.
+    /// full (or no replica is left) — the fairness invariant
+    /// [`Dispatcher::audit`] checks.
     pub fn qos_tenants(&self) -> BTreeMap<String, TenantQos> {
-        match self.qos.borrow().as_ref() {
-            None => BTreeMap::new(),
-            Some(q) => q
-                .tenants
-                .iter()
-                .map(|(t, st)| {
-                    (
-                        t.clone(),
-                        TenantQos {
-                            tier: st.tier,
-                            quota: q.quota(st.tier),
-                            in_flight: st.in_flight,
-                            queued: st.queue.len(),
-                            issued: st.issued,
-                            accepted: st.accepted,
-                            shed: st.shed,
-                            enqueued: st.enqueued,
-                        },
-                    )
-                })
-                .collect(),
-        }
+        self.state.borrow().admission.tenants()
     }
 
     /// Attach a health plane. From now on every answered (or lost) attempt
@@ -797,12 +404,12 @@ impl Dispatcher {
     /// invocation records in-flight depth and its tenant. Measurement
     /// only: the request path is unchanged event-for-event.
     pub fn set_health_plane(&self, plane: Rc<HealthPlane>) {
-        *self.health.borrow_mut() = Some(plane);
+        self.state.borrow_mut().health = Some(plane);
     }
 
     /// The attached health plane, if any.
     pub fn health_plane(&self) -> Option<Rc<HealthPlane>> {
-        self.health.borrow().clone()
+        self.state.borrow().health.clone()
     }
 
     /// Attach a geo plane: routing becomes latency-aware (nearest healthy
@@ -813,43 +420,29 @@ impl Dispatcher {
     /// are charged; a fleet can carry the plane *without* the dispatcher
     /// knowing — that is the site-oblivious control.
     pub fn set_geo(&self, plane: Rc<GeoPlane>) {
-        *self.geo.borrow_mut() = Some(plane);
+        self.state.borrow_mut().geo = Some(plane);
     }
 
     /// The attached geo plane, if any.
     pub fn geo(&self) -> Option<Rc<GeoPlane>> {
-        self.geo.borrow().clone()
+        self.state.borrow().geo.clone()
     }
 
     /// Put `name` on (or take it off) probation: it stays in rotation but
-    /// receives only probe traffic (one route window in [`PROBE_EVERY`])
-    /// until cleared. Returns `false` if no live backend has that name.
+    /// receives only probe traffic (one route in eight) until cleared.
+    /// Returns `false` if no live backend has that name.
     pub fn set_probation(&self, name: &str, on: bool) -> bool {
-        let mut slots = self.slots.borrow_mut();
-        match slots
-            .iter_mut()
-            .find(|s| !s.draining && s.backend.name() == name)
-        {
-            Some(slot) => {
-                slot.probation = on;
-                true
-            }
-            None => false,
-        }
+        self.state.borrow_mut().router.set_probation(name, on)
     }
 
     /// Live backends currently on probation.
     pub fn probation_count(&self) -> usize {
-        self.slots
-            .borrow()
-            .iter()
-            .filter(|s| !s.draining && s.probation)
-            .count()
+        self.state.borrow().router.probation_count()
     }
 
     /// Attempts outstanding across all backends (queued + being served).
     pub fn queued_depth(&self) -> usize {
-        self.slots.borrow().iter().map(|s| s.ops.len()).sum()
+        self.state.borrow().router.queued_depth()
     }
 
     /// The configured policy.
@@ -859,65 +452,57 @@ impl Dispatcher {
 
     /// Put a backend into rotation.
     pub fn add_backend(&self, backend: Rc<dyn Backend>) {
-        let busy_key = format!("{}.cpu.busy", backend.name());
-        self.slots.borrow_mut().push(Slot {
-            backend,
-            ops: Vec::new(),
-            draining: false,
-            probation: false,
-            busy_key,
-        });
+        self.state.borrow_mut().router.add(backend);
     }
 
     /// Take `name` out of rotation. New requests stop routing to it
-    /// immediately; once its outstanding requests finish, the slot is
-    /// dropped and the drain hook fires. Returns `false` if no live
-    /// backend has that name.
+    /// immediately, sticky or not; once its outstanding requests finish,
+    /// the slot is dropped and the drain hook fires. Returns `false` if
+    /// no live backend has that name.
     pub fn remove_backend(&self, sim: &mut Sim, name: &str) -> bool {
-        let idle = {
-            let mut slots = self.slots.borrow_mut();
-            let Some(slot) = slots
-                .iter_mut()
-                .find(|s| !s.draining && s.backend.name() == name)
-            else {
-                return false;
-            };
-            slot.draining = true;
-            slot.outstanding() == 0
-        };
-        // a draining replica takes no new work, sticky or not
-        self.affinity.borrow_mut().orphan_replica(name);
-        if idle {
+        let idle = self.state.borrow_mut().router.drain(name);
+        if idle == Some(true) {
             self.retire(sim, name);
         }
-        true
+        idle.is_some()
     }
 
     /// Called once per drained (removed + idle) backend, with its name.
     pub fn set_drain_hook(&self, f: impl Fn(&mut Sim, &str) + 'static) {
-        *self.drain_hook.borrow_mut() = Some(Box::new(f));
+        self.state.borrow_mut().drain_hook = Some(Rc::new(f));
     }
 
     /// Called once per *accepted* upload broadcast, before any backend
     /// sees it — the fleet uses this to catalog the executable for
     /// replicas that boot later.
     pub fn set_upload_hook(&self, f: impl Fn(&mut Sim, &Request) + 'static) {
-        *self.upload_hook.borrow_mut() = Some(Box::new(f));
+        self.state.borrow_mut().upload_hook = Some(Rc::new(f));
     }
 
     /// Backends still in rotation.
     pub fn live_backends(&self) -> usize {
-        self.slots.borrow().iter().filter(|s| !s.draining).count()
+        self.state.borrow().router.live()
     }
 
     /// Requests currently admitted and not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.get()
+        self.state.borrow().admission.in_flight()
     }
 
     /// The conservation ledger.
     pub fn counters(&self) -> DispatchCounters {
-        *self.counters.borrow()
+        self.state.borrow().admission.counters
+    }
+
+    /// Check the dispatcher's cross-stage invariants at an event boundary:
+    /// slot ops and the op table match one to one, every live affinity
+    /// pin targets a backend in rotation, every QoS tenant conserves
+    /// (`issued == accepted + shed + queued`), and an under-quota tenant
+    /// waits only while the window is full or no replica is in rotation.
+    pub fn audit(&self) -> Result<(), String> {
+        let st = self.state.borrow();
+        st.router.audit(&st.ledger.entries())?;
+        st.admission.audit(st.router.live())
     }
 
     /// Admit and route one request; `done` is called exactly once whether
@@ -925,339 +510,178 @@ impl Dispatcher {
     pub fn submit(self: &Rc<Self>, sim: &mut Sim, req: Request, done: Responder) {
         let span = sim.span_begin("dispatcher.dispatch");
         sim.span_attr(span, "policy", self.cfg.policy.label());
-        // Per-tenant QoS stage (opt-in): invocations carrying a principal
-        // go through quota + weighted-fair queueing. Anonymous requests
-        // and uploads fall through to the global gate below.
-        if self.qos.borrow().is_some()
-            && matches!(&req, Request::Invoke { principal: Some(_), .. })
-        {
-            self.qos_submit(sim, span, req, done);
-            return;
-        }
-        // The global admission gate. Deliberately ahead of the
-        // invoke/upload split so BOTH arms are behind it: an upload at a
-        // saturated door sheds exactly like an invocation (pinned by the
-        // upload_sheds_at_admission_limit regression test).
-        if self.in_flight.get() >= self.cfg.max_in_flight {
-            self.shed(sim, span, "admission limit reached", done);
-            return;
-        }
-        match req {
-            Request::Invoke { .. } => self.dispatch_one(sim, span, req, done),
-            Request::Upload { .. } => self.broadcast(sim, span, req, done),
-        }
-    }
-
-    /// Admission with QoS on: admit under quota, queue at quota, shed on
-    /// queue overflow (or when no replica is in rotation — queueing for a
-    /// dead fleet would just strand the caller).
-    fn qos_submit(self: &Rc<Self>, sim: &mut Sim, span: SpanId, req: Request, done: Responder) {
-        let tenant = match &req {
-            Request::Invoke {
-                principal: Some(p), ..
-            } => p.clone(),
-            _ => unreachable!("qos_submit only sees principal-carrying invokes"),
+        let offer = {
+            let mut st = self.state.borrow_mut();
+            let live = st.router.live();
+            st.admission.offer(req.principal(), live, sim.now())
         };
-        enum Decision {
-            Admit(QosTier),
-            Queue,
-            Shed(&'static str),
-        }
-        let decision = {
-            let mut qos = self.qos.borrow_mut();
-            let q = qos.as_mut().expect("qos checked by caller");
-            let tier = q.tier_of(&tenant);
-            q.register(&tenant, tier);
-            let st = q.tenants.get_mut(&tenant).expect("just registered");
-            st.issued += 1;
-            if self.live_backends() == 0 {
-                st.shed += 1;
-                Decision::Shed("no replicas in rotation")
-            } else if self.in_flight.get() < self.cfg.max_in_flight && q.may_admit(&tenant) {
-                Decision::Admit(tier)
-            } else if q.tenants[&tenant].queue.len() < q.cfg.queue_depth {
-                Decision::Queue
-            } else {
-                let st = q.tenants.get_mut(&tenant).expect("registered");
-                st.shed += 1;
-                Decision::Shed("tenant queue full")
+        let arrival = Arrival { req, done, span };
+        match offer {
+            Offer::Admit(tag) => {
+                if let Some(tag) = &tag {
+                    sim.span_attr(span, "tenant", tag.tenant.clone());
+                    sim.span_attr(span, "tier", tag.tier.label());
+                }
+                self.admit(sim, arrival, tag);
             }
-        };
-        sim.span_attr(span, "tenant", tenant.clone());
-        match decision {
-            Decision::Admit(tier) => {
-                sim.span_attr(span, "tier", tier.label());
-                let tag = QosTag {
-                    tenant,
-                    tier,
-                    submitted_at: sim.now(),
-                };
-                self.qos_admit(sim, span, req, done, tag);
-            }
-            Decision::Queue => {
-                let tier = {
-                    let mut qos = self.qos.borrow_mut();
-                    let q = qos.as_mut().expect("qos on");
-                    q.enqueue(
-                        &tenant,
-                        QueuedReq {
-                            req,
-                            done,
-                            span,
-                            submitted_at: sim.now(),
-                        },
-                    );
-                    q.tenants[&tenant].tier
-                };
-                sim.span_attr(span, "tier", tier.label());
+            Offer::Queue(tag) => {
+                sim.span_attr(span, "tenant", tag.tenant.clone());
+                sim.span_attr(span, "tier", tag.tier.label());
                 sim.span_attr(span, "qos", "queued");
                 sim.counter_add("dispatcher.qos_enqueued", 1);
-                if let Some(plane) = self.health.borrow().as_ref() {
-                    let depth = self.qos.borrow().as_ref().map_or(0, |q| {
-                        q.tenants.get(&tenant).map_or(0, |st| st.queue.len())
-                    });
-                    plane.record_tenant_queue_depth(sim.now(), &tenant, depth as u64);
-                }
+                let depth = self.state.borrow_mut().admission.park(&tag, arrival) as u64;
+                self.health(|p| p.record_tenant_queue_depth(sim.now(), &tag.tenant, depth));
             }
-            Decision::Shed(why) => {
-                sim.counter_add("dispatcher.qos_shed", 1);
-                if let Some(plane) = self.health.borrow().as_ref() {
-                    plane.record_tenant_shed(sim.now(), &tenant);
+            Offer::Shed(why, tenant) => {
+                if let Some(t) = &tenant {
+                    sim.span_attr(span, "tenant", t.clone());
                 }
-                self.shed(sim, span, why, done);
+                self.shed(sim, arrival, tenant.as_deref(), why);
             }
         }
     }
 
-    /// Front-door bookkeeping for one QoS admission (fresh or granted
-    /// from a door queue), then the first attempt. The ticket carries the
-    /// tag from here on — retries, re-pins, and canary shifts never
-    /// re-enter admission, so the tenant and tier survive end-to-end.
-    fn qos_admit(
-        self: &Rc<Self>,
-        sim: &mut Sim,
-        span: SpanId,
-        req: Request,
-        done: Responder,
-        tag: QosTag,
-    ) {
-        {
-            let mut qos = self.qos.borrow_mut();
-            let q = qos.as_mut().expect("qos on");
-            let st = q.tenants.get_mut(&tag.tenant).expect("tenant registered");
-            st.accepted += 1;
-            st.in_flight += 1;
+    /// Refuse a request at the door (admission already counted it).
+    fn shed(&self, sim: &mut Sim, a: Arrival, tenant: Option<&str>, why: &str) {
+        if let Some(tenant) = tenant {
+            sim.counter_add("dispatcher.qos_shed", 1);
+            self.health(|p| p.record_tenant_shed(sim.now(), tenant));
         }
-        self.counters.borrow_mut().accepted += 1;
-        self.in_flight.set(self.in_flight.get() + 1);
+        sim.counter_add("dispatcher.shed", 1);
+        sim.span_attr(a.span, "outcome", "shed");
+        sim.span_fail(a.span, why);
+        (a.done)(sim, Err(SoapFault::server(&format!("dispatcher: {why}"))));
+    }
+
+    /// The one admission path — fresh arrival, DRR grant from a door
+    /// queue, or upload — then the first attempt or the broadcast. A QoS
+    /// ticket carries its tag from here on: retries, re-pins and canary
+    /// shifts never re-enter admission, so tenant and tier survive
+    /// end-to-end.
+    fn admit(self: &Rc<Self>, sim: &mut Sim, a: Arrival, qos: Option<QosTag>) {
+        let in_flight = self.state.borrow_mut().admission.admit(qos.as_ref()) as u64;
         sim.counter_add("dispatcher.accepted", 1);
-        sim.span_attr(span, "in_flight", self.in_flight.get() as u64);
-        if let Some(plane) = self.health.borrow().as_ref() {
-            plane.record_submit(
-                sim.now(),
-                self.in_flight.get() as u64,
-                self.queued_depth() as u64,
-                Some(&tag.tenant),
-            );
-            plane.record_tenant_accepted(sim.now(), &tag.tenant);
+        if let Request::Upload { .. } = a.req {
+            return self.broadcast(sim, a);
         }
-        self.attempt(
-            sim,
-            Ticket {
-                req,
-                done: Some(done),
-                span,
-                retries: 0,
-                qos: Some(tag),
-            },
-        );
+        sim.span_attr(a.span, "in_flight", in_flight);
+        self.health(|p| {
+            let depth = self.queued_depth() as u64;
+            p.record_submit(sim.now(), in_flight, depth, a.req.principal());
+            if let Some(tag) = &qos {
+                p.record_tenant_accepted(sim.now(), &tag.tenant);
+            }
+        });
+        let ticket = Ticket {
+            arrival: a,
+            retries: 0,
+            qos,
+        };
+        self.attempt(sim, ticket);
     }
 
     /// Capacity freed (any request closed): grant door-queued work by
     /// deficit round-robin until the window refills or nothing is
-    /// eligible. When the last replica is gone, flush every queue as shed
-    /// — a queued-then-shed request counts exactly once, as shed.
-    fn qos_dispatch_queued(self: &Rc<Self>, sim: &mut Sim) {
-        if self.qos.borrow().is_none() {
-            return;
-        }
-        if self.live_backends() == 0 {
-            let flushed = {
-                let mut qos = self.qos.borrow_mut();
-                let q = qos.as_mut().expect("qos on");
-                let flushed = q.flush_all();
-                for (tenant, _) in &flushed {
-                    let st = q.tenants.get_mut(tenant).expect("registered");
-                    st.shed += 1;
+    /// eligible, or — once the last replica is gone — shed it all. A no-op
+    /// with QoS off.
+    fn pump(self: &Rc<Self>, sim: &mut Sim) {
+        loop {
+            let live = self.live_backends();
+            let release = self.state.borrow_mut().admission.release(live);
+            match release {
+                Some(Release::Grant(tag, a)) => {
+                    sim.counter_add("dispatcher.qos_granted", 1);
+                    self.admit(sim, a, Some(tag));
                 }
-                flushed
-            };
-            for (tenant, item) in flushed {
-                sim.counter_add("dispatcher.qos_shed", 1);
-                if let Some(plane) = self.health.borrow().as_ref() {
-                    plane.record_tenant_shed(sim.now(), &tenant);
-                }
-                self.shed(sim, item.span, "no replicas in rotation", item.done);
+                Some(Release::Shed(tag, a)) => self.shed(sim, a, Some(&tag.tenant), NO_REPLICAS),
+                None => return,
             }
-            return;
         }
-        while self.in_flight.get() < self.cfg.max_in_flight {
-            let grant = {
-                let mut qos = self.qos.borrow_mut();
-                qos.as_mut().expect("qos on").next_grant()
-            };
-            let Some((tenant, tier, item)) = grant else {
-                return;
-            };
-            sim.counter_add("dispatcher.qos_granted", 1);
-            let tag = QosTag {
-                tenant,
-                tier,
-                submitted_at: item.submitted_at,
-            };
-            self.qos_admit(sim, item.span, item.req, item.done, tag);
-        }
-    }
-
-    /// Per-tenant bookkeeping for one closed QoS request.
-    fn qos_close(&self, sim: &mut Sim, tag: &QosTag, ok: bool) {
-        {
-            let mut qos = self.qos.borrow_mut();
-            let q = qos.as_mut().expect("qos on");
-            let st = q.tenants.get_mut(&tag.tenant).expect("tenant registered");
-            st.in_flight = st
-                .in_flight
-                .checked_sub(1)
-                .expect("tenant in-flight underflow: tag lost in transit");
-        }
-        if let Some(plane) = self.health.borrow().as_ref() {
-            plane.record_tenant_latency(sim.now(), &tag.tenant, sim.now() - tag.submitted_at, !ok);
-        }
-    }
-
-    fn shed(&self, sim: &mut Sim, span: SpanId, why: &str, done: Responder) {
-        self.counters.borrow_mut().shed += 1;
-        sim.counter_add("dispatcher.shed", 1);
-        sim.span_attr(span, "outcome", "shed");
-        sim.span_fail(span, why);
-        done(sim, Err(SoapFault::server(&format!("dispatcher: {why}"))));
-    }
-
-    /// Admit an invocation and start its first attempt.
-    fn dispatch_one(self: &Rc<Self>, sim: &mut Sim, span: SpanId, req: Request, done: Responder) {
-        if self.live_backends() == 0 {
-            self.shed(sim, span, "no replicas in rotation", done);
-            return;
-        }
-        self.counters.borrow_mut().accepted += 1;
-        self.in_flight.set(self.in_flight.get() + 1);
-        sim.counter_add("dispatcher.accepted", 1);
-        sim.span_attr(span, "in_flight", self.in_flight.get() as u64);
-        if let Some(plane) = self.health.borrow().as_ref() {
-            let tenant = match &req {
-                Request::Invoke { principal, .. } => principal.as_deref(),
-                Request::Upload { .. } => None,
-            };
-            plane.record_submit(
-                sim.now(),
-                self.in_flight.get() as u64,
-                self.queued_depth() as u64,
-                tenant,
-            );
-        }
-        self.attempt(
-            sim,
-            Ticket {
-                req,
-                done: Some(done),
-                span,
-                retries: 0,
-                qos: None,
-            },
-        );
     }
 
     /// One routing attempt for an admitted invocation (first try or retry).
     fn attempt(self: &Rc<Self>, sim: &mut Sim, ticket: Ticket) {
-        let key = match &ticket.req {
-            Request::Invoke { principal, .. } => principal.clone(),
-            Request::Upload { .. } => None,
+        let (span, retries) = (ticket.arrival.span, ticket.retries);
+        let req = ticket.arrival.req.clone();
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        let env = Env {
+            now: sim.now(),
+            geo: st.geo.as_deref(),
+            recorder: sim.recorder_ref(),
         };
-        let Some((pick, affinity)) = self.route(sim, key.as_deref()) else {
+        let Some((idx, affinity)) = st.router.route(req.principal(), &env) else {
+            drop(guard);
             // every backend is gone: re-shed to the client as a SOAP fault
-            self.fail_ticket(sim, ticket, "no replicas in rotation");
-            return;
+            return self.fail_ticket(sim, ticket, NO_REPLICAS);
         };
-        let span = ticket.span;
-        if let Some(outcome) = affinity {
-            sim.span_attr(span, "affinity", outcome);
-            let mut c = self.counters.borrow_mut();
-            let counter = match outcome {
-                "hit" => {
-                    c.affinity_hits += 1;
-                    "dispatcher.affinity_hit"
-                }
-                "repin" => {
-                    c.affinity_repins += 1;
-                    "dispatcher.affinity_repin"
-                }
-                "forward" => {
-                    c.forwarded += 1;
-                    "dispatcher.affinity_forward"
-                }
-                _ => {
-                    c.affinity_misses += 1;
-                    "dispatcher.affinity_miss"
-                }
-            };
-            drop(c);
+        if let Some(a) = affinity {
+            *a.counter(&mut st.admission.counters) += 1;
+        }
+        let (id, backend, depth) = self.open(sim, st, idx, Then::Attempt(ticket));
+        st.admission.counters.queued += u64::from(depth > 1);
+        let geo = st.geo.clone();
+        drop(guard);
+        if affinity == Some(Affinity::Forward) {
+            geo.expect("only a geo plane forwards").note_forward();
+        }
+        if let Some(a) = affinity {
+            let (label, counter) = a.names();
+            sim.span_attr(span, "affinity", label);
             sim.counter_add(counter, 1);
         }
-        let req = ticket.req.clone();
-        let attempt_no = ticket.retries;
-        let this = Rc::clone(self);
-        let (op_id, backend, queued) = self.register_op(
-            sim,
-            pick,
-            Box::new(move |sim, outcome| match outcome {
-                OpOutcome::Answered(res) => this.settle_ticket(sim, ticket, res),
-                OpOutcome::BackendLost(lost) => this.retry_or_fail(sim, ticket, &lost),
-            }),
-        );
-        if queued {
-            self.counters.borrow_mut().queued += 1;
+        self.health(|p| p.record_depth(sim.now(), backend.name(), depth as u64));
+        if depth > 1 {
             sim.counter_add("dispatcher.queued", 1);
         }
         sim.span_attr(span, "replica", backend.name().to_owned());
-        if attempt_no > 0 {
-            sim.span_attr(span, "attempt", attempt_no as u64);
+        if retries > 0 {
+            sim.span_attr(span, "attempt", retries as u64);
         }
-        let this = Rc::clone(self);
-        // parent replica-internal spans under the dispatch span
-        let prev = sim.set_span_parent(span);
-        backend.serve(
-            sim,
-            req,
-            Box::new(move |sim, res| this.op_answered(sim, op_id, res)),
-        );
+        let prev = sim.set_span_parent(span); // replica spans nest under ours
+        backend.serve(sim, req, self.answer(id));
         sim.set_span_parent(prev);
     }
 
-    /// The attempt's replica was lost: back off and go again on whatever
-    /// survives, or give up when the cap is hit / retry is disabled.
-    fn retry_or_fail(self: &Rc<Self>, sim: &mut Sim, mut ticket: Ticket, lost: &str) {
-        let Some(rc) = self.cfg.retry else {
-            self.fail_ticket(sim, ticket, &format!("replica {lost} lost; retry disabled"));
-            return;
-        };
-        if ticket.retries >= rc.max_retries {
-            self.fail_ticket(sim, ticket, &format!("replica {lost} lost; retries exhausted"));
-            return;
+    /// Register one attempt on the slot at `idx`: open its op, note it on
+    /// the slot, arm the watchdog. Returns `(op id, backend, slot depth)`.
+    fn open(self: &Rc<Self>, sim: &mut Sim, st: &mut State, idx: usize, then: Then) -> Opened {
+        let backend = Rc::clone(st.router.backend(idx));
+        let id = st.ledger.open(backend.name(), sim.now(), then);
+        let depth = st.router.assign(idx, id);
+        if let Some(t) = self.cfg.request_timeout {
+            let this = Rc::clone(self);
+            let ev = sim.schedule(t, move |sim| this.op_timed_out(sim, id));
+            st.ledger.get_mut(id).expect("just opened").watchdog = Some(ev);
         }
+        (id, backend, depth)
+    }
+
+    /// The responder a backend answers op `id` through.
+    fn answer(self: &Rc<Self>, id: u64) -> Responder {
+        let this = Rc::clone(self);
+        Box::new(move |sim, res| this.op_answered(sim, id, res))
+    }
+
+    /// The attempt's replica was lost: retry it, or give up when the cap
+    /// is hit or retry is disabled.
+    fn retry_or_fail(self: &Rc<Self>, sim: &mut Sim, ticket: Ticket, lost: &str) {
+        let why = match self.cfg.retry {
+            Some(rc) if ticket.retries < rc.max_retries => {
+                return self.retry(sim, ticket, lost, rc)
+            }
+            Some(_) => "retries exhausted",
+            None => "retry disabled",
+        };
+        self.fail_ticket(sim, ticket, &format!("replica {lost} lost; {why}"));
+    }
+
+    /// Back off, then go again on whatever survives.
+    fn retry(self: &Rc<Self>, sim: &mut Sim, mut ticket: Ticket, lost: &str, rc: RetryConfig) {
         ticket.retries += 1;
-        self.counters.borrow_mut().retried += 1;
+        self.state.borrow_mut().admission.counters.retried += 1;
         sim.counter_add("dispatcher.retried", 1);
-        let rspan = sim.span_child("dispatcher.retry", ticket.span);
+        let rspan = sim.span_child("dispatcher.retry", ticket.arrival.span);
         sim.span_attr(rspan, "replica", lost.to_owned());
         sim.span_attr(rspan, "attempt", ticket.retries as u64);
         if let Some(tag) = &ticket.qos {
@@ -1277,201 +701,136 @@ impl Dispatcher {
     }
 
     /// Resolve an admitted invocation exactly once.
-    fn settle_ticket(
-        self: &Rc<Self>,
-        sim: &mut Sim,
-        mut ticket: Ticket,
-        res: Result<SoapValue, SoapFault>,
-    ) {
-        if let Some(tag) = ticket.qos.take() {
-            self.qos_close(sim, &tag, res.is_ok());
-        }
-        self.close_front_door(sim, ticket.span, res.is_ok());
-        let done = ticket.done.take().expect("ticket settles once");
-        done(sim, res);
+    fn settle(self: &Rc<Self>, sim: &mut Sim, t: Ticket, res: Result<SoapValue, SoapFault>) {
+        self.close(sim, t.arrival.span, t.qos.as_ref(), res.is_ok());
+        (t.arrival.done)(sim, res);
     }
 
     /// Resolve an admitted invocation as a dispatcher-level fault.
     fn fail_ticket(self: &Rc<Self>, sim: &mut Sim, ticket: Ticket, why: &str) {
         let fault = SoapFault::server(&format!("dispatcher: {why}"));
-        self.settle_ticket(sim, ticket, Err(fault));
+        self.settle(sim, ticket, Err(fault));
     }
 
-    /// Fan an upload out to every live replica; the front-door request
-    /// completes when the slowest replica has it, and faults if any
-    /// replica faulted.
-    fn broadcast(self: &Rc<Self>, sim: &mut Sim, span: SpanId, req: Request, done: Responder) {
-        let targets: Vec<usize> = {
-            let slots = self.slots.borrow();
-            slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.draining)
-                .map(|(i, _)| i)
-                .collect()
+    /// Fan an admitted upload out to every live replica; the front-door
+    /// request completes when the slowest replica has it, and faults if
+    /// any replica faulted.
+    fn broadcast(self: &Rc<Self>, sim: &mut Sim, a: Arrival) {
+        // register every branch as an op first (ejecting a target backend
+        // then resolves its branch as a fault instead of hanging the
+        // join), serve after
+        let (branches, hook) = {
+            let mut guard = self.state.borrow_mut();
+            let st = &mut *guard;
+            let targets = st.router.live_slots();
+            let join = Rc::new(RefCell::new(Join {
+                span: a.span,
+                remaining: targets.len(),
+                first_fault: None,
+                done: Some(a.done),
+            }));
+            let branch = |i| self.open(sim, st, i, Then::Branch(Rc::clone(&join)));
+            let branches: Vec<Opened> = targets.into_iter().map(branch).collect();
+            (branches, st.upload_hook.clone())
         };
-        if targets.is_empty() {
-            self.shed(sim, span, "no replicas in rotation", done);
-            return;
-        }
-        self.counters.borrow_mut().accepted += 1;
-        self.in_flight.set(self.in_flight.get() + 1);
-        sim.counter_add("dispatcher.accepted", 1);
-        sim.span_attr(span, "fanout", targets.len() as u64);
-        let hook = self.upload_hook.borrow_mut().take();
+        sim.span_attr(a.span, "fanout", branches.len() as u64);
         if let Some(hook) = hook {
-            hook(sim, &req);
-            // re-arm unless the hook replaced itself
-            let mut h = self.upload_hook.borrow_mut();
-            if h.is_none() {
-                *h = Some(hook);
+            hook(sim, &a.req);
+        }
+        self.health(|p| {
+            for (_, backend, depth) in &branches {
+                p.record_depth(sim.now(), backend.name(), *depth as u64);
+            }
+        });
+        for (id, backend, _) in branches {
+            // an earlier branch's synchronous serve may have ejected this
+            // target: its op is resolved, so it must not be served
+            if self.state.borrow().ledger.backend_of(id).is_some() {
+                let prev = sim.set_span_parent(a.span);
+                backend.serve(sim, a.req.clone(), self.answer(id));
+                sim.set_span_parent(prev);
             }
         }
-        let remaining = Rc::new(Cell::new(targets.len()));
-        let first_fault: Rc<RefCell<Option<SoapFault>>> = Rc::new(RefCell::new(None));
-        let done = Rc::new(RefCell::new(Some(done)));
-        // register every branch as an op first (ejecting a target backend
-        // then resolves its branch as a fault instead of hanging the join),
-        // serve after — so a synchronous completion can't shift the indices
-        // we are iterating.
-        let mut branches: Vec<(u64, Rc<dyn Backend>)> = Vec::with_capacity(targets.len());
-        for i in targets {
-            let this = Rc::clone(self);
-            let remaining = Rc::clone(&remaining);
-            let first_fault = Rc::clone(&first_fault);
-            let done = Rc::clone(&done);
-            let (op_id, backend, _) = self.register_op(
-                sim,
-                i,
-                Box::new(move |sim, outcome| {
-                    let res = match outcome {
-                        OpOutcome::Answered(res) => res,
-                        OpOutcome::BackendLost(lost) => Err(SoapFault::server(&format!(
-                            "replica {lost} lost during upload"
-                        ))),
-                    };
-                    if let Err(f) = res {
-                        first_fault.borrow_mut().get_or_insert(f);
-                    }
-                    remaining.set(remaining.get() - 1);
-                    if remaining.get() == 0 {
-                        let ok = first_fault.borrow().is_none();
-                        this.close_front_door(sim, span, ok);
-                        let done = done.borrow_mut().take().expect("single join");
-                        match first_fault.borrow_mut().take() {
-                            None => done(sim, Ok(SoapValue::Bool(true))),
-                            Some(f) => done(sim, Err(f)),
-                        }
-                    }
-                }),
-            );
-            branches.push((op_id, backend));
-        }
-        for (op_id, backend) in branches {
-            let this = Rc::clone(self);
-            let prev = sim.set_span_parent(span);
-            backend.serve(
-                sim,
-                req.clone(),
-                Box::new(move |sim, res| this.op_answered(sim, op_id, res)),
-            );
-            sim.set_span_parent(prev);
+    }
+
+    /// A resolved op continues its ticket or its broadcast join.
+    fn resolve(self: &Rc<Self>, sim: &mut Sim, then: Then, outcome: OpOutcome) {
+        let (join, res) = match (then, outcome) {
+            (Then::Attempt(t), OpOutcome::Answer(res)) => return self.settle(sim, t, res),
+            (Then::Attempt(t), OpOutcome::Lost(lost)) => return self.retry_or_fail(sim, t, &lost),
+            (Then::Branch(join), OpOutcome::Answer(res)) => (join, res),
+            (Then::Branch(join), OpOutcome::Lost(lost)) => {
+                let why = format!("replica {lost} lost during upload");
+                (join, Err(SoapFault::server(&why)))
+            }
+        };
+        let finished = {
+            let mut j = join.borrow_mut();
+            if let Err(f) = res {
+                j.first_fault.get_or_insert(f);
+            }
+            j.remaining -= 1;
+            let done = (j.remaining == 0).then(|| j.done.take().expect("single join"));
+            done.map(|done| (j.span, done, j.first_fault.take()))
+        };
+        if let Some((span, done, fault)) = finished {
+            self.close(sim, span, None, fault.is_none());
+            done(sim, fault.map_or(Ok(SoapValue::Bool(true)), Err));
         }
     }
 
     // -- op table -----------------------------------------------------------
 
-    /// Register one attempt on the slot at `idx`: allocate an op id, note
-    /// it on the slot, arm the watchdog. Returns `(op id, backend, whether
-    /// the attempt queued behind other work on that backend)`.
-    fn register_op(
-        self: &Rc<Self>,
-        sim: &mut Sim,
-        idx: usize,
-        complete: OpComplete,
-    ) -> (u64, Rc<dyn Backend>, bool) {
-        let op_id = self.next_op.get();
-        self.next_op.set(op_id + 1);
-        let (backend, queued, depth) = {
-            let mut slots = self.slots.borrow_mut();
-            let slot = &mut slots[idx];
-            slot.ops.push(op_id);
-            (Rc::clone(&slot.backend), slot.ops.len() > 1, slot.ops.len())
-        };
-        if let Some(plane) = self.health.borrow().as_ref() {
-            plane.record_depth(sim.now(), backend.name(), depth as u64);
-        }
-        let timeout = self.cfg.request_timeout.map(|t| {
-            let this = Rc::clone(self);
-            sim.schedule(t, move |sim| this.op_timed_out(sim, op_id))
-        });
-        self.ops.borrow_mut().insert(
-            op_id,
-            PendingOp {
-                backend: backend.name().to_owned(),
-                complete,
-                timeout,
-                started: sim.now(),
-            },
-        );
-        (op_id, backend, queued)
-    }
-
-    /// A backend's `done` fired. Stale ops (already resolved by an eject)
-    /// are dropped here — this is what makes a dead replica's late answer
-    /// a no-op instead of a double-settle.
-    fn op_answered(self: &Rc<Self>, sim: &mut Sim, op_id: u64, res: Result<SoapValue, SoapFault>) {
-        let Some(op) = self.take_op(sim, op_id) else {
-            return; // zombie response from an ejected backend
-        };
-        if let Some(plane) = self.health.borrow().as_ref() {
-            plane.record_attempt(sim.now(), &op.backend, sim.now() - op.started, res.is_err());
-        }
-        // fault-signal detection: an error from a backend that reports
-        // unhealthy is a loss, not an application fault
-        let lost = res.is_err() && !self.backend_healthy(&op.backend);
-        let outcome = if lost {
-            OpOutcome::BackendLost(op.backend.clone())
-        } else {
-            OpOutcome::Answered(res)
-        };
-        (op.complete)(sim, outcome);
-    }
-
-    /// Remove an op from the table and its slot; cancels the watchdog and
-    /// retires a draining slot that just went idle. `None` if the op was
-    /// already resolved.
-    fn take_op(&self, sim: &mut Sim, op_id: u64) -> Option<PendingOp> {
-        let op = self.ops.borrow_mut().remove(&op_id)?;
-        if let Some(ev) = op.timeout {
-            sim.cancel_event(ev);
-        }
-        let retire = {
-            let mut slots = self.slots.borrow_mut();
-            match slots.iter_mut().find(|s| s.ops.contains(&op_id)) {
-                None => false, // slot already ejected
-                Some(slot) => {
-                    slot.ops.retain(|&o| o != op_id);
-                    slot.draining && slot.ops.is_empty()
-                }
-            }
+    /// A backend's `done` fired: take the op out of the table and its
+    /// slot, cancel its watchdog, retire a draining slot that just went
+    /// idle, and continue. A stale op (already resolved by an eject) is
+    /// dropped here — this is what makes a dead replica's late answer a
+    /// no-op instead of a double-settle.
+    fn op_answered(self: &Rc<Self>, sim: &mut Sim, id: u64, res: Result<SoapValue, SoapFault>) {
+        let (op, retire) = {
+            let mut st = self.state.borrow_mut();
+            let Some(op) = st.ledger.take(id) else {
+                return; // zombie response from an ejected backend
+            };
+            let retire = st.router.release(&op.backend, id);
+            (op, retire)
         };
         if retire {
             self.retire(sim, &op.backend);
         }
-        Some(op)
+        // fault-signal detection: an error from a backend that reports
+        // unhealthy (or has already left) is a loss, not an application
+        // fault
+        let backend = self.state.borrow().router.backend_named(&op.backend);
+        let outcome = if res.is_err() && !backend.is_some_and(|b| b.healthy()) {
+            OpOutcome::Lost(op.backend.clone())
+        } else {
+            OpOutcome::Answer(res)
+        };
+        self.finish(sim, op, outcome);
+    }
+
+    /// Settle an op already taken out of the table: disarm its watchdog,
+    /// sample its latency, and continue its ticket or join.
+    fn finish(self: &Rc<Self>, sim: &mut Sim, op: Op<Then>, outcome: OpOutcome) {
+        if let Some(ev) = op.watchdog {
+            sim.cancel_event(ev);
+        }
+        let took = sim.now() - op.started;
+        let failed = !matches!(outcome, OpOutcome::Answer(Ok(_)));
+        self.health(|p| p.record_attempt(sim.now(), &op.backend, took, failed));
+        self.resolve(sim, op.then, outcome);
     }
 
     /// Watchdog: an attempt went unanswered for `request_timeout`. The
     /// whole backend is suspect — eject it, which resolves this op and
     /// every other op outstanding on it as lost.
-    fn op_timed_out(self: &Rc<Self>, sim: &mut Sim, op_id: u64) {
-        let name = match self.ops.borrow().get(&op_id) {
-            Some(op) => op.backend.clone(),
-            None => return,
-        };
-        sim.counter_add("dispatcher.timeout", 1);
-        self.eject_backend(sim, &name);
+    fn op_timed_out(self: &Rc<Self>, sim: &mut Sim, id: u64) {
+        let name = self.state.borrow().ledger.backend_of(id).map(str::to_owned);
+        if let Some(name) = name {
+            sim.counter_add("dispatcher.timeout", 1);
+            self.eject_backend(sim, &name);
+        }
     }
 
     /// Park every op outstanding on `site`'s replicas across an outage:
@@ -1483,36 +842,23 @@ impl Dispatcher {
     /// without a request timeout (nothing to re-arm). Returns how many
     /// ops were parked.
     pub fn park_site(self: &Rc<Self>, sim: &mut Sim, site: &str, reconnect_at: SimTime) -> usize {
-        let Some(g) = self.geo.borrow().clone() else {
+        let (Some(g), Some(grace)) = (self.geo(), self.cfg.request_timeout) else {
             return 0;
         };
-        let Some(grace) = self.cfg.request_timeout else {
-            return 0;
-        };
-        let targets: Vec<u64> = {
-            let slots = self.slots.borrow();
-            slots
-                .iter()
-                .filter(|s| g.site_of(s.backend.name()).as_deref() == Some(site))
-                .flat_map(|s| s.ops.iter().copied())
-                .collect()
-        };
+        let mut st = self.state.borrow_mut();
+        let in_site = |name: &str| g.site_of(name).as_deref() == Some(site);
+        let ops = st.router.ops_on(in_site);
         let mut parked = 0usize;
-        for id in targets {
-            let old = match self.ops.borrow_mut().get_mut(&id) {
-                None => continue,
-                Some(op) => op.timeout.take(),
+        for id in ops {
+            let Some(op) = st.ledger.get_mut(id) else {
+                continue;
             };
-            if let Some(ev) = old {
+            if let Some(ev) = op.watchdog.take() {
                 sim.cancel_event(ev);
             }
             let this = Rc::clone(self);
-            let ev = sim.schedule((reconnect_at - sim.now()) + grace, move |sim| {
-                this.op_timed_out(sim, id)
-            });
-            if let Some(op) = self.ops.borrow_mut().get_mut(&id) {
-                op.timeout = Some(ev);
-            }
+            let wait = (reconnect_at - sim.now()) + grace;
+            op.watchdog = Some(sim.schedule(wait, move |sim| this.op_timed_out(sim, id)));
             parked += 1;
         }
         if parked > 0 {
@@ -1526,21 +872,7 @@ impl Dispatcher {
     /// scale-down victim choice keys on this: evicting the least-pinned
     /// replica orphans the fewest sessions.
     pub fn live_pin_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts: BTreeMap<String, usize> = self
-            .slots
-            .borrow()
-            .iter()
-            .filter(|s| !s.draining)
-            .map(|s| (s.backend.name().to_owned(), 0))
-            .collect();
-        for p in self.affinity.borrow().pins.values() {
-            if let Pin::Live(r) = p {
-                if let Some(c) = counts.get_mut(r) {
-                    *c += 1;
-                }
-            }
-        }
-        counts
+        self.state.borrow().router.live_pin_counts()
     }
 
     /// Divert `share_pct`% of first-sight routes to `target` for a
@@ -1550,26 +882,22 @@ impl Dispatcher {
     /// explicitly with [`Dispatcher::shift_pins`].
     pub fn set_canary(&self, target: &str, share_pct: u32) {
         assert!(share_pct <= 100, "canary share is a percentage");
-        *self.canary.borrow_mut() = Some(CanaryShare {
-            target: target.to_owned(),
-            share_pct,
-            cursor: Cell::new(0),
-        });
+        self.state.borrow_mut().router.set_canary(target, share_pct);
     }
 
     /// End the canary share: first-sight routing reverts to the base
     /// policy.
     pub fn clear_canary(&self) {
-        *self.canary.borrow_mut() = None;
+        self.state.borrow_mut().router.clear_canary();
     }
 
     /// The replica currently receiving the canary share, if any.
     pub fn canary_target(&self) -> Option<String> {
-        self.canary.borrow().as_ref().map(|c| c.target.clone())
+        self.state.borrow().router.canary_target()
     }
 
     /// Shift the top `fraction` of live affinity pins onto `target`,
-    /// ranked by [`rendezvous_score`]`(key, target)` — the same hash
+    /// ranked by rendezvous score of `(key, target)` — the same hash
     /// that reassigns pins after a loss, so the shifted set is a pure
     /// function of (pinned keys, target) and each shifted principal
     /// re-authenticates exactly once, on its first request to `target`.
@@ -1578,28 +906,7 @@ impl Dispatcher {
     /// log for [`Dispatcher::restore_pins`].
     pub fn shift_pins(&self, target: &str, fraction: f64) -> Vec<(String, String)> {
         assert!((0.0..=1.0).contains(&fraction), "fraction in [0, 1]");
-        let mut table = self.affinity.borrow_mut();
-        let mut ranked: Vec<(u64, String, String)> = table
-            .pins
-            .iter()
-            .filter_map(|(k, p)| match p {
-                Pin::Live(r) if r != target => {
-                    Some((rendezvous_score(k, target), k.clone(), r.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let n = (ranked.len() as f64 * fraction).round() as usize;
-        ranked.truncate(n);
-        let mut shifted = Vec::with_capacity(ranked.len());
-        for (_, key, prev) in ranked {
-            if let Some(p) = table.pins.get_mut(&key) {
-                *p = Pin::Live(target.to_owned());
-            }
-            shifted.push((key, prev));
-        }
-        shifted
+        self.state.borrow_mut().router.shift_pins(target, fraction)
     }
 
     /// Undo a [`Dispatcher::shift_pins`]: every pin still on `target`
@@ -1608,409 +915,96 @@ impl Dispatcher {
     /// longer on `target` — orphaned by a canary crash, evicted, or
     /// re-pinned — are left alone. Returns how many pins were restored.
     pub fn restore_pins(&self, target: &str, shifted: &[(String, String)]) -> usize {
-        let slots = self.slots.borrow();
-        let is_live =
-            |name: &str| slots.iter().any(|s| !s.draining && s.backend.name() == name);
-        let mut table = self.affinity.borrow_mut();
-        let mut restored = 0;
-        for (key, prev) in shifted {
-            let Some(p) = table.pins.get_mut(key) else {
-                continue;
-            };
-            if !matches!(p, Pin::Live(r) if r == target) {
-                continue;
-            }
-            *p = if is_live(prev) {
-                Pin::Live(prev.clone())
-            } else {
-                Pin::Orphaned(prev.clone())
-            };
-            restored += 1;
-        }
-        restored
+        self.state.borrow_mut().router.restore_pins(target, shifted)
     }
 
     /// The replica `key`'s live affinity pin targets, if any (orphaned
     /// pins return `None`).
     pub fn pin_target(&self, key: &str) -> Option<String> {
-        match self.affinity.borrow().pins.get(key) {
-            Some(Pin::Live(r)) => Some(r.clone()),
-            _ => None,
-        }
+        self.state.borrow().router.pin_target(key)
     }
 
     /// Every live affinity pin as sorted `(principal, replica)` pairs —
     /// the rollout proptests' pin-validity witness.
     pub fn live_pins(&self) -> Vec<(String, String)> {
-        let mut pins: Vec<(String, String)> = self
-            .affinity
-            .borrow()
-            .pins
-            .iter()
-            .filter_map(|(k, p)| match p {
-                Pin::Live(r) => Some((k.clone(), r.clone())),
-                Pin::Orphaned(_) => None,
-            })
-            .collect();
-        pins.sort();
-        pins
+        self.state.borrow().router.live_pins()
     }
 
     /// Attempts currently outstanding on the named backend (0 if it is
     /// not in rotation).
     pub fn outstanding_on(&self, name: &str) -> usize {
-        self.slots
-            .borrow()
-            .iter()
-            .find(|s| s.backend.name() == name)
-            .map_or(0, Slot::outstanding)
-    }
-
-    /// Does the named backend report healthy? Unknown backends (already
-    /// ejected) count as unhealthy.
-    fn backend_healthy(&self, name: &str) -> bool {
-        self.slots
-            .borrow()
-            .iter()
-            .find(|s| s.backend.name() == name)
-            .is_some_and(|s| s.backend.healthy())
+        self.state.borrow().router.outstanding(name)
     }
 
     /// Throw a backend out of rotation *now*, no drain: the involuntary
     /// loss path. Every op outstanding on it resolves as lost — retried
     /// for invocations, faulted for upload branches — and any answer the
-    /// dead backend produces later is dropped. The drain hook does NOT
-    /// fire (nothing drained); the owner handles teardown itself. Returns
-    /// `false` if no backend has that name.
+    /// dead backend produces later is dropped. Pins to it die with it and
+    /// reassign by rendezvous hash on their next request. The drain hook
+    /// does NOT fire (nothing drained); the owner handles teardown
+    /// itself. Returns `false` if no backend has that name.
     pub fn eject_backend(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
-        let lost_ops: Vec<u64> = {
-            let mut slots = self.slots.borrow_mut();
-            match slots.iter().position(|s| s.backend.name() == name) {
-                None => return false,
-                Some(i) => slots.remove(i).ops,
-            }
+        let lost: Vec<_> = {
+            let mut st = self.state.borrow_mut();
+            let Some(ops) = st.router.eject(name) else {
+                return false;
+            };
+            st.admission.counters.ejected += 1;
+            ops.iter().filter_map(|&id| st.ledger.take(id)).collect()
         };
-        self.counters.borrow_mut().ejected += 1;
         sim.counter_add("dispatcher.ejected", 1);
-        // pins to the dead replica die with it; the keys reassign by
-        // rendezvous hash on their next request
-        self.affinity.borrow_mut().orphan_replica(name);
-        let mut resolved: Vec<PendingOp> = Vec::with_capacity(lost_ops.len());
-        {
-            let mut ops = self.ops.borrow_mut();
-            for id in lost_ops {
-                if let Some(op) = ops.remove(&id) {
-                    resolved.push(op);
-                }
-            }
-        }
-        // borrows dropped: completions may re-enter the dispatcher
-        for op in resolved {
-            if let Some(ev) = op.timeout {
-                sim.cancel_event(ev);
-            }
-            if let Some(plane) = self.health.borrow().as_ref() {
-                plane.record_attempt(sim.now(), &op.backend, sim.now() - op.started, true);
-            }
-            let name = op.backend.clone();
-            (op.complete)(sim, OpOutcome::BackendLost(name));
+        for op in lost {
+            let lost = OpOutcome::Lost(op.backend.clone());
+            self.finish(sim, op, lost);
         }
         true
     }
 
-    /// Deterministic replica choice for one attempt; `None` when nothing
-    /// is in rotation. With affinity on and a `key`, the second element
-    /// labels the routing outcome (`hit` / `miss` / `repin`) for the
-    /// dispatch span and counters.
-    fn route(&self, sim: &Sim, key: Option<&str>) -> Option<(usize, Option<&'static str>)> {
-        let slots = self.slots.borrow();
-        let mut live: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.draining)
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
-            return None;
+    /// Front-door bookkeeping for one finished request, then let
+    /// door-queued tenants into the slot it freed.
+    fn close(self: &Rc<Self>, sim: &mut Sim, span: SpanId, tag: Option<&QosTag>, ok: bool) {
+        self.state.borrow_mut().admission.close(tag, ok);
+        if let Some(tag) = tag {
+            let waited = sim.now() - tag.submitted_at;
+            self.health(|p| p.record_tenant_latency(sim.now(), &tag.tenant, waited, !ok));
         }
-        // Probation weighting: while any live slot is on probation, most
-        // routes consider only the clean subset; every `PROBE_EVERY`th
-        // route goes to the probationers instead, so they keep receiving
-        // a deterministic trickle of probe traffic for the detector to
-        // score (enough to clear a recovered replica or finish off a
-        // still-degraded one). When every live slot is probationed the
-        // filter is a no-op (keep serving rather than shed). With nothing
-        // on probation — the case every detector-off run is in — `live`
-        // is untouched, so routing is bit-for-bit what it always was.
-        if live.iter().any(|&i| slots[i].probation) {
-            let k = self.probe_cursor.get();
-            self.probe_cursor.set(k.wrapping_add(1));
-            let (probed, clean): (Vec<usize>, Vec<usize>) =
-                live.iter().partition(|&&i| slots[i].probation);
-            if !clean.is_empty() {
-                live = if k.is_multiple_of(PROBE_EVERY) { probed } else { clean };
-            }
-        }
-        // Geo filter: replicas on a severed site leave the candidate set
-        // for the length of the outage window. With no plane attached (or
-        // no replica placed) the set is untouched — bit-for-bit the old
-        // routing. When every placed site is dark the request sheds at
-        // the door rather than being fed into a partition.
-        let geo = self.geo.borrow().clone();
-        if let Some(g) = &geo {
-            let now = sim.now();
-            let up: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    g.site_of(slots[i].backend.name())
-                        .is_none_or(|site| !g.is_down(&site, now))
-                })
-                .collect();
-            if up.is_empty() {
-                return None;
-            }
-            live = up;
-        }
-        let (Some(aff), Some(key)) = (self.cfg.affinity, key) else {
-            if let Some(i) = self.canary_first_sight(&slots, &live) {
-                return Some((i, None));
-            }
-            return Some((self.pick_first_sight(sim, geo.as_deref(), &slots, &live), None));
-        };
-        let mut table = self.affinity.borrow_mut();
-        match table.pins.get(key) {
-            // sticky path: the pinned replica is live and non-draining
-            // (eject/drain orphan the pin, so a Live pin always resolves;
-            // the find is the belt-and-braces liveness check)
-            Some(Pin::Live(replica)) => {
-                if let Some(&i) = live.iter().find(|&&i| slots[i].backend.name() == replica) {
-                    return Some((i, Some("hit")));
-                }
-                if let Some(g) = &geo {
-                    let home = g.site_of(replica);
-                    // HTCondor-C-style forwarding: the pinned replica is
-                    // still in rotation but its site is severed. Serve the
-                    // principal from the nearest healthy peer *without*
-                    // re-pinning — the pin survives the outage, so the
-                    // session comes home on reconnect.
-                    let severed = home.as_deref().is_some_and(|s| g.is_down(s, sim.now()));
-                    let in_rotation = slots
-                        .iter()
-                        .any(|s| !s.draining && s.backend.name() == replica);
-                    if g.federation() && severed && in_rotation {
-                        let i = Self::pick_geo_rendezvous(g, key, &slots, &live, home.as_deref());
-                        g.note_forward();
-                        return Some((i, Some("forward")));
-                    }
-                    let i = Self::pick_geo_rendezvous(g, key, &slots, &live, home.as_deref());
-                    table.pin(key, slots[i].backend.name(), aff.capacity);
-                    return Some((i, Some("repin")));
-                }
-                let i = Self::pick_rendezvous(key, &slots, &live);
-                table.pin(key, slots[i].backend.name(), aff.capacity);
-                Some((i, Some("repin")))
-            }
-            // the pin died with its replica: deterministic reassignment,
-            // a pure function of (key, live names) — independent of how
-            // retries interleaved with the loss. With a geo plane the
-            // reassignment prefers peers of the dead replica's home site
-            // (placements outlive the replica), keeping sessions local.
-            Some(Pin::Orphaned(dead)) => {
-                let i = match &geo {
-                    Some(g) => {
-                        let home = g.site_of(dead);
-                        Self::pick_geo_rendezvous(g, key, &slots, &live, home.as_deref())
-                    }
-                    None => Self::pick_rendezvous(key, &slots, &live),
-                };
-                table.pin(key, slots[i].backend.name(), aff.capacity);
-                Some((i, Some("repin")))
-            }
-            // first sight of the key: the canary takes its share, then
-            // the base policy spreads the rest; either way the choice
-            // sticks
-            None => {
-                let i = self
-                    .canary_first_sight(&slots, &live)
-                    .unwrap_or_else(|| self.pick_first_sight(sim, geo.as_deref(), &slots, &live));
-                table.pin(key, slots[i].backend.name(), aff.capacity);
-                Some((i, Some("miss")))
-            }
-        }
-    }
-
-    /// The canary's claim on this first-sight route, if a share is set:
-    /// route `k` (counter, not clock) goes to the canary iff
-    /// `k % 100 < share_pct` and the canary is in the live set. A
-    /// crashed or draining canary simply stops claiming routes.
-    fn canary_first_sight(&self, slots: &[Slot], live: &[usize]) -> Option<usize> {
-        let canary = self.canary.borrow();
-        let c = canary.as_ref()?;
-        let k = c.cursor.get();
-        c.cursor.set(k.wrapping_add(1));
-        if k % 100 >= u64::from(c.share_pct) {
-            return None;
-        }
-        live.iter()
-            .copied()
-            .find(|&i| slots[i].backend.name() == c.target)
-    }
-
-    /// First-sight pick: nearest-site under a geo plane, plain base
-    /// policy without one.
-    fn pick_first_sight(
-        &self,
-        sim: &Sim,
-        geo: Option<&GeoPlane>,
-        slots: &[Slot],
-        live: &[usize],
-    ) -> usize {
-        let Some(g) = geo else {
-            return self.pick_base(sim, slots, live);
-        };
-        let origin = g.origin();
-        let spill = g.spill_threshold();
-        // walk sites outward from the request's origin; the base policy
-        // balances *within* the first site that has an open replica
-        for site in g.map().nearest_order(&origin) {
-            let cands: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&i| g.site_of(slots[i].backend.name()).as_deref() == Some(site.as_str()))
-                .collect();
-            if cands.is_empty() {
-                continue;
-            }
-            let open: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&i| slots[i].outstanding() < spill)
-                .collect();
-            if !open.is_empty() {
-                return self.pick_base(sim, slots, &open);
-            }
-            // this site is saturated: spill to the next-nearest one
-        }
-        // every placed site saturated, or no replica placed at all
-        self.pick_base(sim, slots, live)
-    }
-
-    /// Rendezvous pick preferring peers of the `home` site: the nearest
-    /// site (ordered from `home`) holding any live candidate wins, and
-    /// the rendezvous hash breaks ties within it — so cross-site failover
-    /// is a pure function of (key, home, live names, outage schedule).
-    fn pick_geo_rendezvous(
-        g: &GeoPlane,
-        key: &str,
-        slots: &[Slot],
-        live: &[usize],
-        home: Option<&str>,
-    ) -> usize {
-        if let Some(home) = home {
-            for site in g.map().nearest_order(home) {
-                let cands: Vec<usize> = live
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        g.site_of(slots[i].backend.name()).as_deref() == Some(site.as_str())
-                    })
-                    .collect();
-                if !cands.is_empty() {
-                    return Self::pick_rendezvous(key, slots, &cands);
-                }
-            }
-        }
-        Self::pick_rendezvous(key, slots, live)
-    }
-
-    /// Highest rendezvous score over the live set wins.
-    fn pick_rendezvous(key: &str, slots: &[Slot], live: &[usize]) -> usize {
-        let mut best = live[0];
-        let mut best_score = rendezvous_score(key, slots[best].backend.name());
-        for &i in &live[1..] {
-            let s = rendezvous_score(key, slots[i].backend.name());
-            if s > best_score {
-                best = i;
-                best_score = s;
-            }
-        }
-        best
-    }
-
-    /// The configured base [`Policy`] over the live set.
-    fn pick_base(&self, sim: &Sim, slots: &[Slot], live: &[usize]) -> usize {
-        match self.cfg.policy {
-            Policy::RoundRobin => {
-                let k = self.rr_cursor.get();
-                self.rr_cursor.set(k.wrapping_add(1));
-                live[k % live.len()]
-            }
-            Policy::LeastOutstanding => {
-                let mut best = live[0];
-                for &i in &live[1..] {
-                    if slots[i].outstanding() < slots[best].outstanding() {
-                        best = i;
-                    }
-                }
-                best
-            }
-            Policy::UtilizationWeighted => {
-                let recorder = sim.recorder_ref();
-                let busy = |i: usize| -> f64 { recorder.total(&slots[i].busy_key) };
-                let mut best = live[0];
-                let mut best_busy = busy(best);
-                for &i in &live[1..] {
-                    let b = busy(i);
-                    if b < best_busy {
-                        best = i;
-                        best_busy = b;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Front-door bookkeeping for one finished request.
-    fn close_front_door(self: &Rc<Self>, sim: &mut Sim, span: SpanId, ok: bool) {
-        self.in_flight.set(self.in_flight.get() - 1);
-        let mut c = self.counters.borrow_mut();
         if ok {
-            c.completed += 1;
-            drop(c);
             sim.counter_add("dispatcher.completed", 1);
             sim.span_end(span);
         } else {
-            c.faulted += 1;
-            drop(c);
             sim.counter_add("dispatcher.faulted", 1);
             sim.span_fail(span, "replica returned a fault");
         }
-        // a slot just opened: let door-queued tenants in (no-op with QoS off)
-        self.qos_dispatch_queued(sim);
+        self.pump(sim);
+    }
+
+    /// Feed the attached health plane, if any (with no state borrow held).
+    fn health(&self, record: impl FnOnce(&HealthPlane)) {
+        if let Some(plane) = self.health_plane() {
+            record(&plane);
+        }
     }
 
     /// Drop a drained slot and notify the owner.
     fn retire(&self, sim: &mut Sim, name: &str) {
-        self.slots
-            .borrow_mut()
-            .retain(|s| !(s.draining && s.ops.is_empty() && s.backend.name() == name));
-        let hook = self.drain_hook.borrow_mut().take();
+        let hook = {
+            let mut st = self.state.borrow_mut();
+            st.router.retire(name);
+            st.drain_hook.clone()
+        };
         if let Some(hook) = hook {
             hook(sim, name);
-            let mut h = self.drain_hook.borrow_mut();
-            if h.is_none() {
-                *h = Some(hook);
-            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::admission::{QosState, QosTag};
+    use super::router::rendezvous_score;
     use super::*;
     use simkit::Duration;
+    use std::cell::Cell;
 
     /// Serves every request after a fixed delay; can be told to fault.
     struct Echo {
@@ -3091,7 +2085,7 @@ mod tests {
             borrow: 1,
             ..QosConfig::default()
         };
-        let mut q = QosState::new(cfg, 8);
+        let mut q: QosState<()> = QosState::new(cfg, 8);
         // two gold tenants: quota = 8 * 4 / 8 = 4 each
         assert_eq!(q.quota(QosTier::Gold), 4);
         q.tenants.get_mut("a").unwrap().in_flight = 4;
@@ -3104,17 +2098,12 @@ mod tests {
         // an under-quota tenant starts waiting: borrowing shuts off
         q.tenants.get_mut("a").unwrap().in_flight = 4;
         q.enqueue(
-            "b",
-            QueuedReq {
-                req: Request::Invoke {
-                    service: "svc".into(),
-                    args: Vec::new(),
-                    principal: Some("b".into()),
-                },
-                done: Box::new(|_, _| {}),
-                span: SpanId::NONE,
+            QosTag {
+                tenant: "b".into(),
+                tier: QosTier::Gold,
                 submitted_at: SimTime::ZERO,
             },
+            (),
         );
         assert!(
             !q.may_admit("a"),
@@ -3127,17 +2116,12 @@ mod tests {
         // a tenant with its own backlog must join the queue, not jump it
         q.tenants.get_mut("a").unwrap().in_flight = 0;
         q.enqueue(
-            "a",
-            QueuedReq {
-                req: Request::Invoke {
-                    service: "svc".into(),
-                    args: Vec::new(),
-                    principal: Some("a".into()),
-                },
-                done: Box::new(|_, _| {}),
-                span: SpanId::NONE,
+            QosTag {
+                tenant: "a".into(),
+                tier: QosTier::Gold,
                 submitted_at: SimTime::ZERO,
             },
+            (),
         );
         assert!(!q.may_admit("a"), "FIFO: no admission past a non-empty own queue");
     }
@@ -3201,5 +2185,82 @@ mod tests {
         sim.run();
         assert!(d.qos_tenants().is_empty(), "no tenant state for anonymous work");
         assert_eq!(d.counters().completed, 2);
+    }
+
+    /// A drain hook that drains another idle backend sees that backend
+    /// retire too: the hook is cloned out for each call, never taken.
+    #[test]
+    fn drain_hook_fires_for_a_backend_drained_from_inside_the_hook() {
+        let mut sim = Sim::new(65);
+        let d = Dispatcher::new(DispatcherConfig::default());
+        for name in ["a", "b", "c"] {
+            d.add_backend(Echo::new(name, 10));
+        }
+        let drained: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+        let (dr, weak) = (drained.clone(), Rc::downgrade(&d));
+        d.set_drain_hook(move |sim, name| {
+            dr.borrow_mut().push(name.to_owned());
+            if name == "a" {
+                let d = weak.upgrade().expect("dispatcher alive");
+                assert!(d.remove_backend(sim, "b"), "b is live and idle");
+            }
+        });
+        assert!(d.remove_backend(&mut sim, "a"));
+        assert_eq!(*drained.borrow(), ["a", "b"]);
+        assert_eq!(d.live_backends(), 1);
+        assert_eq!(d.audit(), Ok(()));
+    }
+
+    /// Answers at once, after ejecting `victim` from inside `serve`.
+    struct Ejector {
+        name: String,
+        victim: String,
+        d: std::rc::Weak<Dispatcher>,
+    }
+
+    impl Backend for Ejector {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
+            if let Some(d) = self.d.upgrade() {
+                d.eject_backend(sim, &self.victim);
+            }
+            done(sim, Ok(SoapValue::Bool(true)));
+        }
+    }
+
+    /// A broadcast target ejected by an earlier branch's synchronous
+    /// serve is never served: its branch resolves as lost (faulting the
+    /// join) and the fan-out skips it.
+    #[test]
+    fn broadcast_never_serves_a_target_ejected_mid_fanout() {
+        let mut sim = Sim::new(66);
+        let d = Dispatcher::new(DispatcherConfig::default());
+        d.add_backend(Rc::new(Ejector {
+            name: "e".into(),
+            victim: "v".into(),
+            d: Rc::downgrade(&d),
+        }));
+        let victim = Echo::new("v", 10);
+        d.add_backend(victim.clone());
+        let got: Rc<Cell<Option<bool>>> = Rc::new(Cell::new(None));
+        let g = got.clone();
+        d.submit(
+            &mut sim,
+            Request::Upload {
+                file_name: "f.exe".into(),
+                len: 64,
+                profile: ExecutionProfile::quick(),
+            },
+            Box::new(move |_, r| g.set(Some(r.is_ok()))),
+        );
+        sim.run();
+        assert_eq!(victim.served.get(), 0, "the ejected target was served");
+        assert_eq!(got.get(), Some(false), "the lost branch faults the join");
+        let c = d.counters();
+        assert_eq!((c.accepted, c.faulted, c.ejected), (1, 1, 1));
+        assert_eq!(d.in_flight(), 0);
+        assert_eq!(d.audit(), Ok(()));
     }
 }

@@ -13,7 +13,13 @@
 //! * [`dispatcher`] — the front end: owns the published UDDI binding,
 //!   admits requests under a bounded in-flight limit (shedding overload as
 //!   a SOAP fault) and routes to replicas under round-robin,
-//!   least-outstanding or utilization-weighted policies.
+//!   least-outstanding or utilization-weighted policies. A thin
+//!   `Sim`-facing shell over three plain-data stages — admission (window,
+//!   per-tenant QoS, counters), routing (slots, affinity pins, canary) and
+//!   the op ledger — with one state cell that is never borrowed across a
+//!   call into a backend, responder or hook;
+//!   [`Dispatcher::audit`](dispatcher::Dispatcher::audit) checks their
+//!   cross-stage invariants.
 //! * [`fleet`] — replica lifecycle over `vappliance` (boot latency counts)
 //!   with the storage topology switch §VIII-D demands: one shared
 //!   blobstore host vs a replicated per-appliance store.

@@ -106,7 +106,12 @@ proptest! {
                     let _ = d2.remove_backend(sim, &name);
                 });
             }
+            let audits = audit_every(&mut sim, &d, Duration::from_millis(97), 24);
             sim.run();
+            prop_assert!(
+                audits.borrow().is_empty(), "{}: audit: {:?}", policy.label(), audits.borrow()
+            );
+            prop_assert_eq!(d.audit(), Ok(()), "{}: audit after drain", policy.label());
             let c = d.counters();
             let total = arrivals.len() as u64;
             prop_assert_eq!(answered.get(), total, "{}: answered != submitted", policy.label());
@@ -283,6 +288,26 @@ impl Backend for StampingEcho {
     }
 }
 
+/// Run [`Dispatcher::audit`] at `n` event boundaries, one every `gap`
+/// from now; returns the failures it collects.
+fn audit_every(
+    sim: &mut Sim,
+    d: &Rc<Dispatcher>,
+    gap: Duration,
+    n: u64,
+) -> Rc<RefCell<Vec<String>>> {
+    let failures: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    for k in 0..n {
+        let (d2, f) = (Rc::clone(d), Rc::clone(&failures));
+        sim.schedule(gap.saturating_mul(k), move |sim| {
+            if let Err(e) = d2.audit() {
+                f.borrow_mut().push(format!("{}: {e}", sim.now()));
+            }
+        });
+    }
+    failures
+}
+
 proptest! {
     /// Session affinity must never override liveness: under an arbitrary
     /// seeded fault plan (ejects) plus arbitrary drains, a pinned request
@@ -362,7 +387,10 @@ proptest! {
                 );
             });
         }
+        let audits = audit_every(&mut sim, &d, Duration::from_millis(89), 26);
         sim.run();
+        prop_assert!(audits.borrow().is_empty(), "audit: {:?}", audits.borrow());
+        prop_assert_eq!(d.audit(), Ok(()), "audit after drain");
         // the pinned-routing safety property: no serve past the cutoff
         for (idx, log) in serves.iter().enumerate() {
             if let Some(&at) = cutoff.get(&idx) {
@@ -755,6 +783,10 @@ fn rollout_fleet_run(
                         .push(format!("{}: {key} -> non-active {target}", sim.now()));
                 }
             }
+            if let Err(e) = fleet.dispatcher().audit() {
+                v.borrow_mut()
+                    .push(format!("{}: dispatcher audit: {e}", sim.now()));
+            }
             audit(sim, fleet, v, until);
         });
     }
@@ -846,7 +878,8 @@ proptest! {
     /// 3. fairness: at no audited instant does a tenant sit queued and
     ///    under-quota while the admission window has room — an
     ///    over-quota admission can only have happened when nobody
-    ///    under-quota was waiting.
+    ///    under-quota was waiting ([`Dispatcher::audit`], which also
+    ///    checks the per-tenant ledgers and the op table mid-run).
     #[test]
     fn qos_conserves_per_tenant_and_never_starves_underquota_tenants(
         backends in proptest::collection::vec((1u64..400, any::<bool>()), 1..4),
@@ -914,24 +947,7 @@ proptest! {
             });
         }
         // fairness audit on an off-cadence clock across the whole run
-        let violations: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        for k in 0..30u64 {
-            let d2 = Rc::clone(&d);
-            let v = Rc::clone(&violations);
-            sim.schedule(Duration::from_millis(137 * k), move |_| {
-                let window_full = d2.in_flight() >= max_in_flight;
-                let dead = d2.live_backends() == 0;
-                for (t, s) in d2.qos_tenants() {
-                    if s.queued > 0 && s.in_flight < s.quota && !window_full && !dead {
-                        v.borrow_mut().push(format!(
-                            "{t}: queued {} under quota ({}/{}) with {} door slots free",
-                            s.queued, s.in_flight, s.quota,
-                            max_in_flight - d2.in_flight(),
-                        ));
-                    }
-                }
-            });
-        }
+        let violations = audit_every(&mut sim, &d, Duration::from_millis(137), 30);
         sim.run();
         prop_assert!(violations.borrow().is_empty(), "fairness audit: {:?}", violations.borrow());
         let total = arrivals.len() as u64;
@@ -956,5 +972,139 @@ proptest! {
         }
         prop_assert_eq!(sum_accepted, c.accepted, "tenant slices sum to the door ledger");
         prop_assert_eq!(sum_shed, c.shed, "tenant shed slices sum to the door ledger");
+    }
+}
+
+/// Test double that re-enters the dispatcher from inside `serve`, then
+/// answers synchronously. Each serve consumes the next step of a shared
+/// script — submit another request, eject, drain or probation a peer, or
+/// nothing — so the recursion is bounded by the script's length.
+struct Reentrant {
+    name: String,
+    d: std::rc::Weak<Dispatcher>,
+    script: Rc<RefCell<std::vec::IntoIter<(u8, usize)>>>,
+    peers: usize,
+    submitted: Rc<Cell<u64>>,
+    answered: Rc<Cell<u64>>,
+}
+
+impl Backend for Reentrant {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
+        let step = self.script.borrow_mut().next();
+        if let (Some((action, peer)), Some(d)) = (step, self.d.upgrade()) {
+            let peer = format!("r{}", peer % self.peers);
+            match action {
+                0 => {
+                    self.submitted.set(self.submitted.get() + 1);
+                    let a = Rc::clone(&self.answered);
+                    let req = Request::Invoke {
+                        service: "svc".into(),
+                        args: Vec::new(),
+                        principal: Some(format!("nested-{peer}")),
+                    };
+                    let fired = Cell::new(false);
+                    d.submit(
+                        sim,
+                        req,
+                        Box::new(move |_, _| {
+                            assert!(!fired.replace(true), "nested responder fired twice");
+                            a.set(a.get() + 1);
+                        }),
+                    );
+                }
+                1 => {
+                    d.eject_backend(sim, &peer);
+                }
+                2 => {
+                    d.remove_backend(sim, &peer);
+                }
+                3 => {
+                    d.set_probation(&peer, true);
+                }
+                _ => {}
+            }
+        }
+        done(sim, Ok(SoapValue::Bool(true)));
+    }
+}
+
+proptest! {
+    /// Re-entrancy: backends that call back into the dispatcher from
+    /// inside `serve` — submitting another request, ejecting, draining
+    /// or probationing a peer (or themselves) — and answer synchronously
+    /// never trip a borrow panic, under every policy with affinity and
+    /// QoS on. Every request, nested ones included, is answered exactly
+    /// once; the door ledger conserves; and [`Dispatcher::audit`] stays
+    /// clean at sampled event boundaries and after the drain.
+    #[test]
+    fn reentrant_backends_keep_the_dispatcher_consistent(
+        n_backends in 2usize..5,
+        script in proptest::collection::vec((0u8..5, 0usize..5), 1..16),
+        arrivals in proptest::collection::vec((0u64..1_000, 0usize..5), 1..30),
+        max_in_flight in 1usize..8,
+    ) {
+        use fleet::{AffinityConfig, QosConfig};
+        for policy in Policy::ALL {
+            let mut sim = Sim::new(0x4e7);
+            let d = Dispatcher::new(DispatcherConfig {
+                policy,
+                max_in_flight,
+                affinity: Some(AffinityConfig::default()),
+                ..DispatcherConfig::default()
+            });
+            d.set_qos(QosConfig::default());
+            let steps = Rc::new(RefCell::new(script.clone().into_iter()));
+            let submitted = Rc::new(Cell::new(0u64));
+            let answered = Rc::new(Cell::new(0u64));
+            for i in 0..n_backends {
+                d.add_backend(Rc::new(Reentrant {
+                    name: format!("r{i}"),
+                    d: Rc::downgrade(&d),
+                    script: Rc::clone(&steps),
+                    peers: n_backends,
+                    submitted: Rc::clone(&submitted),
+                    answered: Rc::clone(&answered),
+                }));
+            }
+            for &(at_ms, kind) in &arrivals {
+                let d2 = Rc::clone(&d);
+                let (s, a) = (Rc::clone(&submitted), Rc::clone(&answered));
+                sim.schedule(Duration::from_millis(at_ms), move |sim| {
+                    // kind 4 uploads (a broadcast whose branches re-enter);
+                    // 3 is anonymous; the rest are tenants t0..t2
+                    let req = match kind {
+                        4 => Request::Upload {
+                            file_name: "f.exe".into(),
+                            len: 64,
+                            profile: ExecutionProfile::quick(),
+                        },
+                        k => Request::Invoke {
+                            service: "svc".into(),
+                            args: Vec::new(),
+                            principal: (k < 3).then(|| format!("t{k}")),
+                        },
+                    };
+                    s.set(s.get() + 1);
+                    let fired = Cell::new(false);
+                    d2.submit(sim, req, Box::new(move |_, _| {
+                        assert!(!fired.replace(true), "responder fired twice");
+                        a.set(a.get() + 1);
+                    }));
+                });
+            }
+            let audits = audit_every(&mut sim, &d, Duration::from_millis(53), 20);
+            sim.run();
+            let label = policy.label();
+            prop_assert!(audits.borrow().is_empty(), "{}: audit: {:?}", label, audits.borrow());
+            prop_assert_eq!(d.audit(), Ok(()), "{}: audit after drain", label);
+            let c = d.counters();
+            prop_assert_eq!(answered.get(), submitted.get(), "{}: answered != submitted", label);
+            prop_assert_eq!(c.accepted + c.shed, submitted.get(), "{}: door ledger", label);
+            prop_assert_eq!(c.accepted, c.completed + c.faulted, "{}: outcome ledger", label);
+            prop_assert_eq!(d.in_flight(), 0, "{}: in-flight after drain", label);
+        }
     }
 }

@@ -103,4 +103,13 @@ cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
 cmp target/experiments/noisyneighbor-run1.csv target/experiments/noisyneighbor.csv
 cmp target/experiments/noisyneighbor-run1.prom target/experiments/noisyneighbor.prom
 
+echo "==> perfbench smoke (public API + recorded virtual-result digests)"
+# perfbench is its own Cargo package that calls only the public API; each
+# run re-checks its replications against perfbench/digests.tsv and exits
+# non-zero with "correct": false on any drift.
+for w in population tenants publish; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed dev --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+done
+
 echo "CI OK"
