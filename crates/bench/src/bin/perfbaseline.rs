@@ -1,10 +1,11 @@
 //! Tracked kernel performance baseline.
 //!
 //! Measures the simkit hot paths (event queue, processor-sharing server,
-//! metric recorder) plus the end-to-end Figure-6 pipeline, and writes the
-//! results as machine-readable JSON to `BENCH_kernel.json` at the repo
-//! root. CI and future optimisation PRs diff this file to catch
-//! regressions.
+//! metric recorder), the blob database's read path (first and repeat
+//! `BlobDb::load` of a 64 KB executable) and the end-to-end Figure-6
+//! pipeline, and writes the results as machine-readable JSON to
+//! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
+//! diff this file to catch regressions.
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin perfbaseline`
 //!
@@ -23,14 +24,15 @@
 //! a verdict from a machine that can't time a constant loop twice alike
 //! is not a verdict.
 //!
-//! The criterion benches in `benches/kernel.rs` cover the same scenarios
-//! interactively; this binary exists because bins cannot link
-//! dev-dependencies, and because a flat JSON file is easier to track than
-//! criterion's output directory.
+//! The criterion benches in `benches/kernel.rs` cover the kernel and
+//! pipeline scenarios interactively; this binary exists because bins
+//! cannot link dev-dependencies, and because a flat JSON file is easier to
+//! track than criterion's output directory.
 
 use std::time::{Duration as WallDuration, Instant};
 
-use onserve::deployment::DeploymentSpec;
+use blobstore::BlobDb;
+use onserve::deployment::{synth_payload, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::{Runner, KB};
 use simkit::wheel::TimerWheel;
@@ -54,13 +56,25 @@ struct Entry {
 /// Calibrate a batch to ~2 ms, then time `samples` batches of `routine`,
 /// whose return value is the number of operations it performed.
 fn measure(name: &'static str, samples: usize, mut routine: impl FnMut() -> u64) -> Entry {
+    measure_with_setup(name, samples, |_| (), |_| routine())
+}
+
+/// [`measure`] with untimed per-batch state: `setup(batch)` builds what a
+/// batch of `batch` routine calls consumes, and is dropped after timing.
+fn measure_with_setup<S>(
+    name: &'static str,
+    samples: usize,
+    mut setup: impl FnMut(u64) -> S,
+    mut routine: impl FnMut(&mut S) -> u64,
+) -> Entry {
     let target = WallDuration::from_millis(2);
     let mut batch: u64 = 1;
     loop {
+        let mut state = setup(batch);
         let t0 = Instant::now();
         let mut ops = 0;
         for _ in 0..batch {
-            ops += std::hint::black_box(routine());
+            ops += std::hint::black_box(routine(&mut state));
         }
         let el = t0.elapsed();
         std::hint::black_box(ops);
@@ -77,10 +91,11 @@ fn measure(name: &'static str, samples: usize, mut routine: impl FnMut() -> u64)
     let mut min_ns = f64::INFINITY;
     let mut max_ns: f64 = 0.0;
     for _ in 0..samples {
+        let mut state = setup(batch);
         let t0 = Instant::now();
         let mut ops: u64 = 0;
         for _ in 0..batch {
-            ops += std::hint::black_box(routine());
+            ops += std::hint::black_box(routine(&mut state));
         }
         let ns = t0.elapsed().as_nanos() as f64 / ops as f64;
         total_ns += ns;
@@ -219,6 +234,52 @@ fn bench_span_enabled() -> Entry {
     })
 }
 
+/// Executable size of the blob read-path scenarios: the 64 KB app the
+/// `millionuser` tier invokes.
+const BLOB_LEN: usize = 64 * 1024;
+
+/// A database holding one freshly inserted, never loaded `app.exe`.
+fn blob_db() -> BlobDb {
+    let mut db = BlobDb::new();
+    let data = synth_payload(BLOB_LEN, 0x5eed ^ BLOB_LEN as u64);
+    db.insert("app.exe", "bench", Vec::new(), &data)
+        .expect("fresh database accepts the executable");
+    db
+}
+
+/// First `BlobDb::load` of a row: decompress plus checksum. Each op loads
+/// its own freshly inserted database, built before the batch is timed.
+fn bench_blob_load_cold() -> Entry {
+    measure_with_setup(
+        "blobstore.load_cold_64k",
+        20,
+        |batch| ((0..batch).map(|_| blob_db()).collect::<Vec<_>>(), 0),
+        |(dbs, next)| {
+            std::hint::black_box(dbs[*next].load("app.exe").expect("executable loads"));
+            *next += 1;
+            1
+        },
+    )
+}
+
+/// Repeat `BlobDb::load` of a row already decoded and verified.
+fn bench_blob_load_warm() -> Entry {
+    measure_with_setup(
+        "blobstore.load_warm_64k",
+        20,
+        |_| {
+            let db = blob_db();
+            db.load("app.exe").expect("executable loads");
+            db
+        },
+        |db| {
+            let data = db.load(std::hint::black_box("app.exe"));
+            std::hint::black_box(data.expect("executable loads"));
+            1
+        },
+    )
+}
+
 /// The full Figure-6 invocation pipeline; one op = one invocation.
 fn bench_fig6_pipeline() -> Entry {
     measure("pipeline.fig6", 10, || {
@@ -271,6 +332,8 @@ fn main() {
         bench_span_disabled,
         bench_span_enabled,
         bench_fig6_pipeline,
+        bench_blob_load_cold,
+        bench_blob_load_warm,
     ];
     let entries: Vec<Entry> = scenarios.iter().map(|f| f()).collect();
 

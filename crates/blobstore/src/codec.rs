@@ -33,7 +33,8 @@ pub enum CodecError {
     LengthMismatch {
         /// Length promised by the header.
         expected: usize,
-        /// Length actually produced.
+        /// Length actually produced, or, for a stream that runs past the
+        /// header, the length its first overrunning token would reach.
         actual: usize,
     },
 }
@@ -165,13 +166,25 @@ fn emit_token(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
     }
 }
 
+/// Upper bound on what a stream body can decode to: no body byte stands
+/// for more output than one 255-continuation byte of an extended length.
+fn max_decoded_len(body: &[u8]) -> usize {
+    body.len().saturating_mul(255)
+}
+
 /// Decompress a stream produced by [`compress`].
+///
+/// The header length bounds the work done on hostile input: the initial
+/// reservation never exceeds what the body could decode to, and a literal
+/// run or match that would take the output past the header length is
+/// rejected before it is copied.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     if input.len() < 4 {
         return Err(CodecError::Truncated);
     }
     let expected = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
-    let mut out = Vec::with_capacity(expected);
+    let overrun = |actual| CodecError::LengthMismatch { expected, actual };
+    let mut out = Vec::with_capacity(expected.min(max_decoded_len(&input[4..])));
     let mut pos = 4usize;
     while pos < input.len() {
         let tag = input[pos];
@@ -182,6 +195,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
         }
         if pos + lit > input.len() {
             return Err(CodecError::Truncated);
+        }
+        if out.len() + lit > expected {
+            return Err(overrun(out.len() + lit));
         }
         out.extend_from_slice(&input[pos..pos + lit]);
         pos += lit;
@@ -200,6 +216,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
         }
         if off == 0 || off > out.len() {
             return Err(CodecError::BadOffset);
+        }
+        if out.len() + len > expected {
+            return Err(overrun(out.len() + len));
         }
         let start = out.len() - off;
         // overlapping copies are the whole point of LZ — copy byte-wise
@@ -322,6 +341,67 @@ mod tests {
         assert!(matches!(
             decompress(&c),
             Err(CodecError::LengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn huge_header_alone_is_rejected_without_reserving_it() {
+        // a bare header promising 4 GiB: the reservation is capped by the
+        // empty body, and the empty body fails the length check
+        assert_eq!(max_decoded_len(&[]), 0);
+        let r = decompress(&[0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(
+            r,
+            Err(CodecError::LengthMismatch {
+                expected: u32::MAX as usize,
+                actual: 0
+            })
+        );
+    }
+
+    #[test]
+    fn reservation_cap_holds_for_the_densest_streams() {
+        // all-zero input is the codec's best ratio: long matches carried
+        // almost entirely by 255-continuation bytes
+        for n in [1usize, 5, 19, 300, 70_000, 1_000_000] {
+            let c = compress(&vec![0u8; n]);
+            assert!(max_decoded_len(&c[4..]) >= n, "{n} bytes from {}", c.len());
+        }
+    }
+
+    #[test]
+    fn stream_longer_than_header_stops_at_the_overrunning_token() {
+        // header says 10 bytes; one literal, then a match of length
+        // 4 + 14 + 1000 * 255 + 3 = 255_021 at offset 1
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&10u32.to_le_bytes());
+        bad.push(0x1f); // 1 literal, extended match length
+        bad.push(b'a');
+        bad.extend_from_slice(&1u16.to_le_bytes());
+        bad.extend(std::iter::repeat_n(255u8, 1000));
+        bad.push(3);
+        // a dangling match token after the overrun: a decoder that copied
+        // the overrunning match first would report it as truncated
+        bad.push(0x01);
+        assert_eq!(
+            decompress(&bad),
+            Err(CodecError::LengthMismatch {
+                expected: 10,
+                actual: 255_022
+            })
+        );
+        // the same overrun as a literal run
+        let mut lits = Vec::new();
+        lits.extend_from_slice(&10u32.to_le_bytes());
+        lits.push(0xb0); // 11 literals, no match
+        lits.extend_from_slice(b"hello world");
+        lits.push(0x01);
+        assert!(matches!(
+            decompress(&lits),
+            Err(CodecError::LengthMismatch {
+                expected: 10,
+                actual: 11
+            })
         ));
     }
 

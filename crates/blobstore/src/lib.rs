@@ -12,7 +12,13 @@
 //! * [`codec`] — an LZ77-family compression codec (blobs are stored
 //!   compressed; decompression is the Figure 6 CPU peak).
 //! * [`store`] — the table layer: executable records (name, description,
-//!   parameter specs) plus compressed blob pages, with checksums.
+//!   parameter specs) plus compressed blob pages, with checksums. A row is
+//!   decoded and verified at most once per stored state: the first
+//!   successful [`BlobDb::load`] keeps the checked payload and later loads
+//!   share it; [`BlobDb::corrupt_blob`] and [`BlobDb::delete`], the only
+//!   paths that change stored bytes, drop it with the row. Failed loads
+//!   are never kept. The simulated cost of a load is charged in full on
+//!   every call by [`TimedDb::load_for_use`].
 //! * [`strategy`] — the *timed* storage paths on a [`simkit::Host`],
 //!   including the paper's documented flaw: "the file is first stored
 //!   temporarily and then in the database. ... at least two write

@@ -6,6 +6,7 @@
 //! with checksums. Pure data structure; timing lives in
 //! [`crate::strategy`].
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -93,12 +94,28 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// One blob row: the compressed bytes as stored, plus the payload once a
+/// load has decoded and verified them.
+struct BlobRow {
+    stored: Bytes,
+    decoded: OnceCell<Bytes>,
+}
+
+impl BlobRow {
+    fn new(stored: Vec<u8>) -> BlobRow {
+        BlobRow {
+            stored: Bytes::from(stored),
+            decoded: OnceCell::new(),
+        }
+    }
+}
+
 /// The executable database.
 #[derive(Default)]
 pub struct BlobDb {
     records: BTreeMap<u64, ExecutableRecord>,
     by_name: BTreeMap<String, u64>,
-    blobs: BTreeMap<u64, Bytes>,
+    blobs: BTreeMap<u64, BlobRow>,
     next_id: u64,
 }
 
@@ -133,7 +150,7 @@ impl BlobDb {
             checksum: fnv1a(data),
         };
         self.by_name.insert(name.to_owned(), id);
-        self.blobs.insert(id, Bytes::from(compressed));
+        self.blobs.insert(id, BlobRow::new(compressed));
         self.records.insert(id, record);
         Ok(id)
     }
@@ -155,17 +172,26 @@ impl BlobDb {
     }
 
     /// Decompress and verify a payload by name.
-    pub fn load(&self, name: &str) -> Result<Vec<u8>, DbError> {
+    ///
+    /// The row is decoded and checksummed at most once per stored state:
+    /// the first success is kept and later calls return a clone of it (a
+    /// refcount bump). Failures are never kept, so a corrupt row fails
+    /// every load. [`BlobDb::corrupt_blob`] and [`BlobDb::delete`] drop the
+    /// kept payload with the bytes it was decoded from.
+    pub fn load(&self, name: &str) -> Result<Bytes, DbError> {
         let rec = self.record(name)?;
-        let blob = self
+        let row = self
             .blobs
             .get(&rec.id)
             .ok_or_else(|| DbError::Corrupt(name.to_owned()))?;
-        let data = decompress(blob)?;
+        if let Some(data) = row.decoded.get() {
+            return Ok(data.clone());
+        }
+        let data = decompress(&row.stored)?;
         if fnv1a(&data) != rec.checksum {
             return Err(DbError::Corrupt(name.to_owned()));
         }
-        Ok(data)
+        Ok(row.decoded.get_or_init(|| Bytes::from(data)).clone())
     }
 
     /// Delete by name; returns the freed record.
@@ -195,7 +221,7 @@ impl BlobDb {
 
     /// Total bytes of compressed blob storage.
     pub fn stored_bytes(&self) -> usize {
-        self.blobs.values().map(Bytes::len).sum()
+        self.blobs.values().map(|row| row.stored.len()).sum()
     }
 
     /// Test/failure-injection hook: corrupt a stored blob in place.
@@ -204,8 +230,8 @@ impl BlobDb {
             .by_name
             .get(name)
             .ok_or_else(|| DbError::NotFound(name.to_owned()))?;
-        let blob = self.blobs.get_mut(&id).expect("blob present");
-        let mut v = blob.to_vec();
+        let row = self.blobs.get_mut(&id).expect("blob present");
+        let mut v = row.stored.to_vec();
         if let Some(last) = v.last_mut() {
             *last ^= 0xff;
         }
@@ -214,7 +240,7 @@ impl BlobDb {
         if mid > 4 {
             v[mid] ^= 0x55;
         }
-        *blob = Bytes::from(v);
+        *row = BlobRow::new(v);
         Ok(())
     }
 }
@@ -287,6 +313,48 @@ mod tests {
         db.insert("a", "", vec![], &payload(4096)).unwrap();
         db.corrupt_blob("a").unwrap();
         assert!(matches!(db.load("a"), Err(DbError::Corrupt(_))));
+    }
+
+    #[test]
+    fn warm_loads_share_one_decoded_payload() {
+        let mut db = BlobDb::new();
+        db.insert("a", "", vec![], &payload(4096)).unwrap();
+        let first = db.load("a").unwrap();
+        let second = db.load("a").unwrap();
+        assert_eq!(first, payload(4096));
+        assert_eq!(first.as_ptr(), second.as_ptr());
+    }
+
+    #[test]
+    fn corrupting_a_warm_row_fails_the_next_load() {
+        let mut db = BlobDb::new();
+        db.insert("a", "", vec![], &payload(4096)).unwrap();
+        db.load("a").unwrap();
+        db.corrupt_blob("a").unwrap();
+        assert!(matches!(db.load("a"), Err(DbError::Corrupt(_))));
+    }
+
+    #[test]
+    fn reinserting_a_deleted_warm_name_loads_the_new_payload() {
+        let mut db = BlobDb::new();
+        db.insert("a", "", vec![], &payload(4096)).unwrap();
+        db.load("a").unwrap();
+        db.delete("a").unwrap();
+        db.insert("a", "", vec![], b"replacement").unwrap();
+        assert_eq!(db.load("a").unwrap(), b"replacement".to_vec());
+    }
+
+    #[test]
+    fn load_errors_are_not_kept() {
+        let mut db = BlobDb::new();
+        db.insert("a", "", vec![], &payload(4096)).unwrap();
+        db.corrupt_blob("a").unwrap();
+        assert!(matches!(db.load("a"), Err(DbError::Corrupt(_))));
+        assert!(matches!(db.load("a"), Err(DbError::Corrupt(_))));
+        // the corruption hook is an involution: a second pass restores
+        // the stored bytes, and nothing of the failed loads lingers
+        db.corrupt_blob("a").unwrap();
+        assert_eq!(db.load("a").unwrap(), payload(4096));
     }
 
     #[test]

@@ -184,6 +184,9 @@ impl TimedDb {
     /// CPU, write to a temporary location, read it back for the upload —
     /// the §VII-B "file retrieval" step ("loaded from the database and then
     /// stored in a temporary location").
+    ///
+    /// Every call pays the whole virtual cost, decompression included,
+    /// even though [`BlobDb::load`] decodes a row on the host only once.
     pub fn load_for_use<F>(self: &Rc<Self>, sim: &mut Sim, name: &str, done: F)
     where
         F: FnOnce(&mut Sim, Result<Bytes, DbError>, StoreTiming) + 'static,
@@ -195,7 +198,7 @@ impl TimedDb {
             match db.load(name) {
                 Ok(data) => (
                     db.record(name).map(|r| r.stored_len as f64).unwrap_or(0.0),
-                    Ok(Bytes::from(data)),
+                    Ok(data),
                 ),
                 Err(e) => (0.0, Err(e)),
             }

@@ -1,11 +1,14 @@
 //! Property-based invariants of the blob database and its codec.
 
-use blobstore::{compress, decompress, BlobDb, ParamSpec, TimedDb, WriteStrategy};
+use blobstore::{compress, decompress, BlobDb, DbError, ParamSpec, TimedDb, WriteStrategy};
 use bytes::Bytes;
 use proptest::prelude::*;
 use simkit::{Host, HostSpec, Sim};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
+
+const NAMES: [&str; 3] = ["a.exe", "b.exe", "c.exe"];
 
 proptest! {
     /// Codec round-trips arbitrary bytes.
@@ -67,6 +70,61 @@ proptest! {
         db.delete(&name).unwrap();
         prop_assert!(db.is_empty());
         prop_assert_eq!(db.stored_bytes(), 0);
+    }
+
+    /// Random insert / load / corrupt / delete programs over a few names
+    /// agree with a reference model in which `load` is the inserted
+    /// payload, `Corrupt` if the row was corrupted since insert, or
+    /// `NotFound`. Corruption flips the same stored bytes each time, so
+    /// the model tracks its parity: a second pass restores the row.
+    #[test]
+    fn db_matches_reference_model(
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..NAMES.len(), proptest::collection::vec(any::<u8>(), 0..3_000)),
+            1..60,
+        ),
+    ) {
+        let mut db = BlobDb::new();
+        // name -> (inserted payload, corrupted an odd number of times)
+        let mut model: BTreeMap<&str, (Vec<u8>, bool)> = BTreeMap::new();
+        for (op, which, data) in ops {
+            let name = NAMES[which];
+            match op {
+                0 => {
+                    let r = db.insert(name, "", vec![], &data);
+                    if model.contains_key(name) {
+                        prop_assert_eq!(r, Err(DbError::Duplicate(name.to_owned())));
+                    } else {
+                        prop_assert!(r.is_ok());
+                        model.insert(name, (data, false));
+                    }
+                }
+                1 => match (db.load(name), model.get(name)) {
+                    (Ok(got), Some((want, false))) => prop_assert_eq!(got, want.clone()),
+                    (Err(DbError::Corrupt(_)), Some((_, true))) => {}
+                    (Err(DbError::NotFound(_)), None) => {}
+                    (got, want) => panic!("load {name}: got {got:?}, model {want:?}"),
+                },
+                2 => {
+                    let r = db.corrupt_blob(name);
+                    match model.get_mut(name) {
+                        Some((_, corrupt)) => {
+                            prop_assert!(r.is_ok());
+                            *corrupt = !*corrupt;
+                        }
+                        None => prop_assert!(matches!(r, Err(DbError::NotFound(_)))),
+                    }
+                }
+                _ => {
+                    let r = db.delete(name);
+                    match model.remove(name) {
+                        Some(_) => prop_assert_eq!(r.unwrap().name, name),
+                        None => prop_assert!(matches!(r, Err(DbError::NotFound(_)))),
+                    }
+                }
+            }
+            prop_assert_eq!(db.len(), model.len());
+        }
     }
 
     /// Timed store → timed load is the identity under both write

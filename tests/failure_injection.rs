@@ -115,6 +115,42 @@ fn corrupt_database_blob_faults_before_grid_traffic() {
 }
 
 #[test]
+fn corrupting_a_warm_blob_faults_the_next_invoke_before_grid_traffic() {
+    let mut sim = Sim::new(24);
+    let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+    publish(&mut sim, &d, "app.exe", ExecutionProfile::quick());
+    // a successful invoke decodes and keeps the payload
+    let ok = Rc::new(Cell::new(false));
+    let o2 = ok.clone();
+    d.invoke(&mut sim, "app", &[], move |_, r| {
+        r.expect("warm invoke");
+        o2.set(true);
+    });
+    sim.run();
+    assert!(ok.get());
+    let grid_traffic = |d: &Deployment| {
+        let submitted: u64 = d
+            .grid
+            .sites()
+            .iter()
+            .map(|s| s.gatekeeper().borrow().counters().0)
+            .sum();
+        (submitted, d.onserve.session_counters())
+    };
+    let before = grid_traffic(&d);
+    d.onserve
+        .db()
+        .db()
+        .borrow_mut()
+        .corrupt_blob("app.exe")
+        .unwrap();
+    let fault = invoke_expect_fault(&mut sim, &d, "app");
+    assert!(fault.message.contains("corrupt"), "{fault}");
+    assert_eq!(grid_traffic(&d), before, "no authentication or submission");
+    assert_eq!(d.onserve.counters(), (2, 1));
+}
+
+#[test]
 fn watchdog_kills_runaway_invocation() {
     let mut sim = Sim::new(25);
     let spec = DeploymentSpec {
