@@ -246,7 +246,7 @@ impl Fleet {
         for name in names {
             let site = plane.place(&name);
             if let Some(health) = self.dispatcher.health_plane() {
-                health.set_site(&name, &site);
+                health.set_label(&name, "site", &site);
             }
         }
         *self.geo.borrow_mut() = Some(plane);
@@ -411,7 +411,7 @@ impl Fleet {
                 .iter()
                 .filter(|r| r.deployment.is_some() && !r.retired)
             {
-                health.set_version(&r.name, &format!("v{}", r.version));
+                health.set_label(&r.name, "version", &format!("v{}", r.version));
             }
         }
     }
@@ -860,7 +860,7 @@ impl Fleet {
         }
         if self.version_labels.get() {
             if let Some(health) = self.dispatcher.health_plane() {
-                health.set_version(&name, &format!("v{version}"));
+                health.set_label(&name, "version", &format!("v{version}"));
             }
         }
         let geo = self.geo.borrow().clone().map(|g| {
@@ -868,7 +868,7 @@ impl Fleet {
             // booted later gets the next site round-robin here
             let site = g.place(&name);
             if let Some(health) = self.dispatcher.health_plane() {
-                health.set_site(&name, &site);
+                health.set_label(&name, "site", &site);
             }
             (g, site)
         });

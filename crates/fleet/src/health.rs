@@ -97,17 +97,17 @@ pub struct ReplicaHealth {
 pub struct HealthPlane {
     cfg: HealthConfig,
     reg: RefCell<WindowedRegistry>,
-    tenants: Cell<usize>,
-    /// Replica → geo site, for `site="..."` labels on per-replica series
-    /// in the Prometheus exposition. Fed by [`crate::Fleet::attach_geo`];
-    /// empty (the default) leaves the exposition byte-identical to the
-    /// pre-geo format.
-    sites: RefCell<BTreeMap<String, String>>,
-    /// Replica → served artifact version, for `version="vN"` labels on
-    /// per-replica series. Fed by the fleet at activation; empty (the
-    /// default) leaves the exposition byte-identical to the unversioned
-    /// format.
-    versions: RefCell<BTreeMap<String, String>>,
+    /// Tenants granted distinct `tenant.<t>.requests` series (capped at
+    /// [`HealthConfig::max_tenants`]; overflow folds into
+    /// `tenant.other.requests`).
+    tenants: RefCell<BTreeSet<String>>,
+    /// Replica → label key → value, rendered on the replica's
+    /// `fleet_replica_<name>_*` series in the Prometheus exposition in key
+    /// order (`site` before `version`). Fed by the fleet: `site` by
+    /// [`crate::Fleet::attach_geo`] and at activation, `version` once a
+    /// rollout target is set. Empty (the default) leaves the exposition
+    /// byte-identical to the unlabeled format.
+    labels: RefCell<BTreeMap<String, BTreeMap<&'static str, String>>>,
     /// Tenants granted distinct `fleet.tenant.<t>.*` QoS series (capped
     /// at [`HealthConfig::max_tenants`]; overflow folds into
     /// `fleet.tenant.other.*`). Only populated when the dispatcher's QoS
@@ -125,42 +125,28 @@ impl HealthPlane {
         );
         Rc::new(HealthPlane {
             reg: RefCell::new(WindowedRegistry::new(cfg.window, cfg.ring)),
-            tenants: Cell::new(0),
-            sites: RefCell::new(BTreeMap::new()),
-            versions: RefCell::new(BTreeMap::new()),
+            tenants: RefCell::new(BTreeSet::new()),
+            labels: RefCell::new(BTreeMap::new()),
             qos_tenants: RefCell::new(BTreeSet::new()),
             cfg,
         })
     }
 
-    /// Tag `replica`'s per-replica series with its geo site: every
+    /// Tag `replica`'s per-replica series with `key="value"`: every
     /// `fleet_replica_<name>_*` sample in the Prometheus exposition gains
-    /// a `site="<site>"` label. Idempotent; called by
-    /// [`crate::Fleet::attach_geo`] and on every later replica activation.
-    pub fn set_site(&self, replica: &str, site: &str) {
-        self.sites
+    /// the label. Setting a key again replaces its value. The fleet uses
+    /// `site` (geo placement) and `version` (served artifact version).
+    pub fn set_label(&self, replica: &str, key: &'static str, value: &str) {
+        self.labels
             .borrow_mut()
-            .insert(replica.to_owned(), site.to_owned());
+            .entry(replica.to_owned())
+            .or_default()
+            .insert(key, value.to_owned());
     }
 
-    /// The geo site `replica` was tagged with, if any.
-    pub fn site_of(&self, replica: &str) -> Option<String> {
-        self.sites.borrow().get(replica).cloned()
-    }
-
-    /// Tag `replica`'s per-replica series with the artifact version it
-    /// serves: every `fleet_replica_<name>_*` sample gains a
-    /// `version="vN"` label. Idempotent; re-tagged when a rollout boots
-    /// a replacement at a newer version.
-    pub fn set_version(&self, replica: &str, version: &str) {
-        self.versions
-            .borrow_mut()
-            .insert(replica.to_owned(), version.to_owned());
-    }
-
-    /// The artifact version `replica` was tagged with, if any.
-    pub fn version_of(&self, replica: &str) -> Option<String> {
-        self.versions.borrow().get(replica).cloned()
+    /// The value `replica` was tagged with under `key`, if any.
+    pub fn label(&self, replica: &str, key: &str) -> Option<String> {
+        self.labels.borrow().get(replica)?.get(key).cloned()
     }
 
     /// The active thresholds.
@@ -202,16 +188,8 @@ impl HealthPlane {
         let q = reg.histogram("dispatcher.queue_depth");
         reg.record(q, now, queued);
         if let Some(t) = tenant {
-            let name = format!("tenant.{t}.requests");
-            let known = reg.series(&name).is_some();
-            let id = if known {
-                reg.counter(&name)
-            } else if self.tenants.get() < self.cfg.max_tenants {
-                self.tenants.set(self.tenants.get() + 1);
-                reg.counter(&name)
-            } else {
-                reg.counter("tenant.other.requests")
-            };
+            let key = capped(&mut self.tenants.borrow_mut(), self.cfg.max_tenants, t);
+            let id = reg.counter(&format!("tenant.{key}.requests"));
             reg.record(id, now, 1);
         }
     }
@@ -247,22 +225,12 @@ impl HealthPlane {
 
     /// Distinct tenant series seen (excluding the overflow series).
     pub fn tenant_series(&self) -> usize {
-        self.tenants.get()
+        self.tenants.borrow().len()
     }
 
-    /// The series key a QoS tenant writes under: its own name while we
-    /// are under [`HealthConfig::max_tenants`] distinct tenants, `other`
-    /// past the cap.
-    fn qos_key(&self, tenant: &str) -> String {
-        let mut known = self.qos_tenants.borrow_mut();
-        if known.contains(tenant) {
-            tenant.to_owned()
-        } else if known.len() < self.cfg.max_tenants {
-            known.insert(tenant.to_owned());
-            tenant.to_owned()
-        } else {
-            "other".to_owned()
-        }
+    /// The series key a QoS tenant writes under (see [`capped`]).
+    fn qos_key<'a>(&self, tenant: &'a str) -> &'a str {
+        capped(&mut self.qos_tenants.borrow_mut(), self.cfg.max_tenants, tenant)
     }
 
     /// One request admitted past the QoS stage for `tenant`.
@@ -305,13 +273,11 @@ impl HealthPlane {
     }
 
     /// Prometheus text exposition of every series at `now`. Per-replica
-    /// series carry a `site` label when the replica was tagged with
-    /// [`HealthPlane::set_site`] and a `version` label when tagged with
-    /// [`HealthPlane::set_version`]; with no tags the output is
-    /// byte-identical to the unlabeled format.
+    /// series carry the labels set with [`HealthPlane::set_label`], in key
+    /// order; with no labels the output is byte-identical to the unlabeled
+    /// format. QoS tenant series carry a `tenant` label.
     pub fn prometheus_text(&self, now: SimTime) -> String {
-        let sites = self.sites.borrow();
-        let versions = self.versions.borrow();
+        let labels = self.labels.borrow();
         self.reg.borrow().prometheus_text_multi_labeled(now, |name| {
             if let Some(rest) = name.strip_prefix("fleet.tenant.") {
                 // suffixes (accepted/shed/queue_depth/latency_us/errors)
@@ -327,14 +293,11 @@ impl HealthPlane {
             let Some((replica, _)) = rest.split_once('.') else {
                 return Vec::new();
             };
-            let mut labels = Vec::new();
-            if let Some(site) = sites.get(replica) {
-                labels.push(("site".to_owned(), site.clone()));
-            }
-            if let Some(version) = versions.get(replica) {
-                labels.push(("version".to_owned(), version.clone()));
-            }
-            labels
+            labels.get(replica).map_or_else(Vec::new, |set| {
+                set.iter()
+                    .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                    .collect()
+            })
         })
     }
 
@@ -569,6 +532,16 @@ impl GrayFailureDetector {
     }
 }
 
+/// `tenant` itself while it already holds series or fewer than `cap`
+/// tenants do (admitting it into `known`); `"other"` past the cap.
+fn capped<'a>(known: &mut BTreeSet<String>, cap: usize, tenant: &'a str) -> &'a str {
+    if known.contains(tenant) || (known.len() < cap && known.insert(tenant.to_owned())) {
+        tenant
+    } else {
+        "other"
+    }
+}
+
 /// The lower median: element at index `(n-1)/2` of the sorted values.
 fn lower_median(values: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = values.collect();
@@ -624,11 +597,48 @@ mod tests {
             plane.record_submit(t, 1, 1, Some(tenant));
         }
         assert_eq!(plane.tenant_series(), 2);
+        // the QoS series keep their own cap, past which tenants fold into
+        // `fleet.tenant.other.*`
+        for tenant in ["erin", "frank", "grace", "erin"] {
+            plane.record_tenant_accepted(t, tenant);
+            plane.record_tenant_latency(t, tenant, Duration::from_millis(5), false);
+        }
         let csv = plane.timeseries_csv();
         assert!(csv.contains("tenant.alice.requests"));
         assert!(csv.contains("tenant.bob.requests"));
         assert!(!csv.contains("tenant.carol.requests"));
         assert!(csv.contains("tenant.other.requests"));
+        for kept in ["erin", "frank"] {
+            assert!(csv.contains(&format!("fleet.tenant.{kept}.accepted,")), "{csv}");
+            assert!(csv.contains(&format!("fleet.tenant.{kept}.latency_us,")), "{csv}");
+        }
+        assert!(csv.contains("fleet.tenant.other.accepted,0,1,1,1,"), "{csv}");
+        assert!(csv.contains("fleet.tenant.other.latency_us,"), "{csv}");
+        assert!(!csv.contains("fleet.tenant.grace."), "{csv}");
+        let text = plane.prometheus_text(t);
+        assert!(text.contains(r#"fleet_tenant_other_accepted{tenant="other"} 1"#), "{text}");
+        assert!(!text.contains("grace"), "{text}");
+    }
+
+    #[test]
+    fn tenant_label_values_are_escaped() {
+        let plane = HealthPlane::new(HealthConfig::default());
+        let t = SimTime::from_secs(1);
+        let principal = "ev\"il\\ten\nant";
+        plane.record_tenant_accepted(t, principal);
+        plane.record_tenant_latency(t, principal, Duration::from_millis(5), true);
+        let text = plane.prometheus_text(t);
+        simkit::validate_prometheus_text(&text).expect("escaped tenant label parses strictly");
+        assert!(
+            text.contains(r#"fleet_tenant_ev_il_ten_ant_accepted{tenant="ev\"il\\ten\nant"} 1"#),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                r#"fleet_tenant_ev_il_ten_ant_latency_us{quantile="0.5",tenant="ev\"il\\ten\nant"}"#
+            ),
+            "{text}"
+        );
     }
 
     #[test]
@@ -659,8 +669,10 @@ mod tests {
             "no tags, no labels:\n{untagged}"
         );
 
-        plane.set_site("replica0", "east");
-        assert_eq!(plane.site_of("replica0").as_deref(), Some("east"));
+        plane.set_label("replica0", "site", "east");
+        assert_eq!(plane.label("replica0", "site").as_deref(), Some("east"));
+        assert_eq!(plane.label("replica0", "version"), None);
+        assert_eq!(plane.label("replica1", "site"), None);
         let text = plane.prometheus_text(t);
         simkit::validate_prometheus_text(&text).expect("labeled snapshot parses strictly");
         assert!(
@@ -686,11 +698,12 @@ mod tests {
         let t = SimTime::from_secs(3);
         plane.record_attempt(t, "replica0", Duration::from_millis(7), false);
         plane.record_attempt(t, "replica1", Duration::from_millis(5), false);
+        plane.record_attempt(t, "replica2", Duration::from_millis(6), false);
         plane.record_submit(t, 2, 3, Some("alice"));
 
         // version alone
-        plane.set_version("replica1", "v2");
-        assert_eq!(plane.version_of("replica1").as_deref(), Some("v2"));
+        plane.set_label("replica1", "version", "v2");
+        assert_eq!(plane.label("replica1", "version").as_deref(), Some("v2"));
         let text = plane.prometheus_text(t);
         simkit::validate_prometheus_text(&text).expect("version-labeled snapshot parses");
         assert!(
@@ -698,9 +711,12 @@ mod tests {
             "quantile series carry the version label:\n{text}"
         );
 
-        // site + version together, in site-then-version order
-        plane.set_site("replica0", "east");
-        plane.set_version("replica0", "v1");
+        // site + version together, in site-then-version order whichever
+        // was tagged first
+        plane.set_label("replica0", "site", "east");
+        plane.set_label("replica0", "version", "v1");
+        plane.set_label("replica2", "version", "v1");
+        plane.set_label("replica2", "site", "east");
         let text = plane.prometheus_text(t);
         simkit::validate_prometheus_text(&text).expect("two-label snapshot parses");
         assert!(
@@ -708,6 +724,12 @@ mod tests {
                 r#"fleet_replica_replica0_latency_us{quantile="0.5",site="east",version="v1"}"#
             ),
             "both labels render on one series:\n{text}"
+        );
+        assert!(
+            text.contains(
+                r#"fleet_replica_replica2_latency_us{quantile="0.5",site="east",version="v1"}"#
+            ),
+            "version tagged before site still renders site first:\n{text}"
         );
         assert!(
             text.contains(r#"fleet_replica_replica0_latency_us_sum{site="east",version="v1"}"#),

@@ -369,14 +369,6 @@ impl Sim {
         }
     }
 
-    /// Record a duration observation under `name` without opening a span
-    /// (no-op while disabled).
-    pub fn observe_duration(&mut self, name: &'static str, d: Duration) {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.histos.entry(name).or_default().record(d);
-        }
-    }
-
     /// Kernel self-profiling snapshot: events executed/pending, queue depth
     /// high-water, executed counts per `schedule_labeled` label, and
     /// per-server busy/utilization rollups derived from the recorder's
@@ -430,31 +422,6 @@ impl Sim {
             Some(t) => t.span_tree(self.now),
             None => String::from("telemetry disabled\n"),
         }
-    }
-
-    // -- string-trace compat shim -------------------------------------------
-
-    /// Turn on event tracing. Compat alias for [`Sim::enable_telemetry`]:
-    /// the old string log now lives inside the telemetry store as instant
-    /// events.
-    pub fn enable_trace(&mut self) {
-        self.enable_telemetry();
-    }
-
-    /// Append a trace line if telemetry is enabled. The closure is only
-    /// evaluated when collecting. Lines export as Chrome-trace `"i"`
-    /// (instant) events alongside the spans.
-    pub fn trace(&mut self, msg: impl FnOnce() -> String) {
-        let now = self.now;
-        if let Some(t) = self.telemetry.as_mut() {
-            let line = msg();
-            t.events.push((now, line));
-        }
-    }
-
-    /// The trace lines collected so far (empty when telemetry is off).
-    pub fn trace_lines(&self) -> &[(SimTime, String)] {
-        self.telemetry.as_deref().map(|t| t.events()).unwrap_or(&[])
     }
 
     #[cfg(test)]
@@ -801,16 +768,5 @@ mod tests {
         assert_eq!(profile.server_busy[0].key, "node.cpu.busy");
         assert!((profile.server_busy[0].busy_secs - 0.5).abs() < 1e-9);
         assert!((profile.server_busy[0].utilization - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_collects_when_enabled() {
-        let mut sim = Sim::new(0);
-        sim.enable_trace();
-        sim.schedule(Duration::from_secs(2), |sim| sim.trace(|| "hello".into()));
-        sim.run();
-        assert_eq!(sim.trace_lines().len(), 1);
-        assert_eq!(sim.trace_lines()[0].0, SimTime::from_secs(2));
-        assert_eq!(sim.trace_lines()[0].1, "hello");
     }
 }

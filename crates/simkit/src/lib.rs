@@ -23,14 +23,17 @@
 //!   measurement for the paper's Figures 6–8.
 //! * [`Recorder`] / [`Series`] — bucketed time-series accumulation
 //!   ([`metrics`]); the paper samples at 3-second intervals and so do we.
+//!   [`WindowAgg`] is the one log₂ histogram: windowed series in a
+//!   [`WindowedRegistry`] and telemetry span durations both record into it.
 //! * [`Rng`] — a seedable xoshiro256++ generator with the handful of
 //!   distributions the workloads need ([`rng`]).
 //! * [`fault`] — seeded, replayable chaos: crash schedules plus
 //!   probabilistic link-drop/jitter and storage-write-failure injection
 //!   ([`FaultPlan`], [`FaultInjector`]).
 //! * [`telemetry`] — structured, zero-overhead-when-disabled tracing:
-//!   causal spans on the virtual clock, counters, duration histograms,
-//!   kernel self-profiling, and Chrome-trace / span-tree exporters.
+//!   causal spans on the virtual clock, counters, per-stage span-duration
+//!   histograms, kernel self-profiling, and Chrome-trace / span-tree
+//!   exporters.
 //! * [`stats`] and [`report`] — summary statistics and plain-text
 //!   chart/table rendering used by the benchmark harness.
 //!
@@ -68,7 +71,5 @@ pub use metrics::{
 };
 pub use rng::Rng;
 pub use server::{FifoServer, FlowId, PsServer, ServerConfig, Share};
-pub use telemetry::{
-    AttrValue, DurationHisto, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry,
-};
+pub use telemetry::{AttrValue, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry};
 pub use time::{Duration, SimTime};

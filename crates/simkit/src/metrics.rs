@@ -240,9 +240,9 @@ impl Recorder {
 // Windowed time-series registry (the fleet health plane's substrate)
 // ---------------------------------------------------------------------------
 
-/// Number of log₂ buckets in a windowed histogram (and in
-/// [`crate::telemetry::DurationHisto`]). Bucket 0 covers values 0–1, bucket
-/// `i` covers `(2^(i-1), 2^i]`, bucket 63 absorbs everything larger.
+/// Number of log₂ buckets in a [`WindowAgg`] histogram. Bucket 0 holds the
+/// value 0, bucket `i` holds `[2^(i-1), 2^i)`, bucket 63 absorbs
+/// everything larger.
 pub const LOG2_BUCKETS: usize = 64;
 
 /// Log₂ bucket index for a raw value.
@@ -269,33 +269,6 @@ fn log2_bucket_lower(i: usize) -> u64 {
     } else {
         log2_bucket_upper(i - 1)
     }
-}
-
-/// Quantile estimate from a log₂ bucket array by linear interpolation
-/// inside the bucket holding the target rank, clamped to the observed
-/// maximum. Returns 0.0 for an empty distribution. `q` is clamped to
-/// `[0, 1]`. Shared by [`WindowAgg`] and `DurationHisto::quantile`.
-pub(crate) fn quantile_from_log2(counts: &[u64], total: u64, max: u64, q: f64) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    // rank of the sample we want, 1-based: q=0 -> first, q=1 -> last
-    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cum += c;
-        if cum >= target {
-            let lower = log2_bucket_lower(i) as f64;
-            let upper = (log2_bucket_upper(i).min(max.max(1))) as f64;
-            let into = (target - (cum - c)) as f64 / c as f64;
-            return (lower + into * (upper - lower).max(0.0)).min(max as f64);
-        }
-    }
-    max as f64
 }
 
 /// One window's aggregate: count / sum / max, plus an optional log₂
@@ -385,14 +358,31 @@ impl WindowAgg {
         }
     }
 
-    /// Quantile estimate in raw value units (log₂-bucket interpolation,
-    /// clamped to the observed max). 0.0 when the aggregate is empty or
+    /// Quantile estimate in raw value units: linear interpolation inside
+    /// the log₂ bucket holding the target rank, clamped to the observed
+    /// max. `q` is clamped to `[0, 1]`. 0.0 when the aggregate is empty or
     /// counter-only.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.buckets.is_empty() {
+        if self.buckets.is_empty() || self.count == 0 {
             return 0.0;
         }
-        quantile_from_log2(&self.buckets, self.count, self.max, q)
+        let q = q.clamp(0.0, 1.0);
+        // rank of the sample we want, 1-based: q=0 -> first, q=1 -> last
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            cum += c;
+            if cum >= target {
+                let lower = log2_bucket_lower(i) as f64;
+                let upper = (log2_bucket_upper(i).min(self.max.max(1))) as f64;
+                let into = (target - (cum - c)) as f64 / c as f64;
+                return (lower + into * (upper - lower).max(0.0)).min(self.max as f64);
+            }
+        }
+        self.max as f64
     }
 }
 
@@ -511,7 +501,7 @@ pub struct WindowedRegistry {
     width: Duration,
     ring: usize,
     names: BTreeMap<String, WindowedId>,
-    series: Vec<(String, WindowedSeries)>,
+    series: Vec<WindowedSeries>,
 }
 
 impl WindowedRegistry {
@@ -544,7 +534,7 @@ impl WindowedRegistry {
 
     fn intern(&mut self, name: &str, histo: bool) -> WindowedId {
         if let Some(&id) = self.names.get(name) {
-            let existing = &self.series[id.0 as usize].1;
+            let existing = &self.series[id.0 as usize];
             assert_eq!(
                 existing.is_histogram(),
                 histo,
@@ -557,7 +547,7 @@ impl WindowedRegistry {
         );
         self.names.insert(name.to_owned(), id);
         self.series
-            .push((name.to_owned(), WindowedSeries::new(self.width, self.ring, histo)));
+            .push(WindowedSeries::new(self.width, self.ring, histo));
         id
     }
 
@@ -575,17 +565,17 @@ impl WindowedRegistry {
 
     /// Record `v` at instant `t` into the series behind `id`.
     pub fn record(&mut self, id: WindowedId, t: SimTime, v: u64) {
-        self.series[id.0 as usize].1.record(t, v);
+        self.series[id.0 as usize].record(t, v);
     }
 
     /// Look up a series by name.
     pub fn series(&self, name: &str) -> Option<&WindowedSeries> {
-        self.names.get(name).map(|&id| &self.series[id.0 as usize].1)
+        self.names.get(name).map(|&id| &self.series[id.0 as usize])
     }
 
     /// Look up a series by interned id.
     pub fn series_by_id(&self, id: WindowedId) -> &WindowedSeries {
-        &self.series[id.0 as usize].1
+        &self.series[id.0 as usize]
     }
 
     /// Merge the lookback range of the series behind `id` as of `now`.
@@ -605,29 +595,17 @@ impl WindowedRegistry {
     /// series as a `counter` with the lifetime sum. Values are in the raw
     /// recorded units. The output passes [`validate_prometheus_text`].
     pub fn prometheus_text(&self, now: SimTime) -> String {
-        self.prometheus_text_labeled(now, |_| None)
+        self.prometheus_text_multi_labeled(now, |_| Vec::new())
     }
 
     /// [`WindowedRegistry::prometheus_text`] with per-series extra labels:
-    /// `label_for` maps each *raw* (unsanitized) series name onto an
-    /// optional `(key, value)` label attached to every sample of that
-    /// family — how the fleet's health plane tags per-replica series with
-    /// their geo `site`. A callback that always returns `None` produces
-    /// byte-identical output to the unlabeled snapshot.
-    pub fn prometheus_text_labeled(
-        &self,
-        now: SimTime,
-        label_for: impl Fn(&str) -> Option<(String, String)>,
-    ) -> String {
-        self.prometheus_text_multi_labeled(now, |name| label_for(name).into_iter().collect())
-    }
-
-    /// [`WindowedRegistry::prometheus_text_labeled`] generalized to any
-    /// number of extra labels per series — how the fleet's health plane
-    /// tags per-replica series with both a geo `site` and the artifact
-    /// `version` the replica serves. Labels render in the order returned.
-    /// A callback that always returns an empty `Vec` produces
-    /// byte-identical output to the unlabeled snapshot.
+    /// `label_for` maps each *raw* (unsanitized) series name onto the
+    /// `(key, value)` labels attached to every sample of that family — how
+    /// the fleet's health plane tags per-replica series with a geo `site`
+    /// and the artifact `version` the replica serves. Labels render in the
+    /// order returned, values escaped per the exposition format. A
+    /// callback that always returns an empty `Vec` produces byte-identical
+    /// output to the unlabeled snapshot.
     pub fn prometheus_text_multi_labeled(
         &self,
         now: SimTime,
@@ -648,7 +626,7 @@ impl WindowedRegistry {
             } else {
                 let joined = extra
                     .iter()
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
+                    .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
                     .collect::<Vec<_>>()
                     .join(",");
                 (format!("{{{joined}}}"), format!(",{joined}"))
@@ -705,6 +683,15 @@ fn fmt_prom_value(v: f64) -> String {
     } else {
         format!("{v}")
     }
+}
+
+/// Escape a label value for the exposition format: backslash, double quote
+/// and newline are the characters it requires escaped. Values without them
+/// come back unchanged.
+fn escape_label_value(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Map an internal dotted series name onto the Prometheus metric-name
@@ -1024,6 +1011,22 @@ mod windowed_tests {
         assert!(a.quantile(0.5) <= 3.0, "p50 = {}", a.quantile(0.5));
         assert_eq!(a.quantile(1.0), 100.0);
         assert_eq!(a.quantile(0.99), 100.0);
+        // 3 lands in the bucket spanning 2..4
+        let b = log2_bucket(3);
+        assert_eq!((log2_bucket_lower(b), log2_bucket_upper(b)), (2, 4));
+        assert_eq!(a.buckets[b], 2, "2 and 3 share the bucket");
+
+        // span durations in µs: nine short stages and one 1 s outlier
+        let mut h = WindowAgg::histogram();
+        for ms in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
+            h.record(ms * 1000);
+        }
+        let p50 = h.quantile(0.5);
+        let p99 = h.quantile(0.99);
+        assert!(p50 > 0.0 && p50 < 100_000.0, "p50 = {p50}");
+        assert_eq!(h.quantile(1.0), 1e6, "q1 clamps to max");
+        assert!((p99 - 1e6).abs() < 0.6e6, "p99 = {p99} near the outlier");
+        assert!(p50 <= h.quantile(0.9), "monotone in q");
     }
 
     #[test]
@@ -1038,6 +1041,24 @@ mod windowed_tests {
         let q75 = a.quantile(0.75);
         assert!(q25 < q75, "{q25} vs {q75}");
         assert!(q25 >= 4.0 && q75 <= 8.0, "{q25}..{q75}");
+
+        // one observation: the interpolation clamps to it
+        let mut one = WindowAgg::histogram();
+        one.record(7000);
+        assert!((one.quantile(0.5) - 7000.0).abs() < 1e-9);
+        assert!((one.quantile(0.0) - one.quantile(1.0)).abs() < 1e4);
+
+        // all mass on one value: every quantile stays inside its bucket and
+        // never above the value
+        let mut h = WindowAgg::histogram();
+        for _ in 0..100 {
+            h.record(1024);
+        }
+        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!(v <= 1024.0, "q={q} gave {v}");
+            assert!(v > 512.0, "q={q} gave {v} below the bucket");
+        }
     }
 
     #[test]
@@ -1146,12 +1167,15 @@ mod windowed_tests {
         let now = SimTime::from_secs(10);
 
         let plain = r.prometheus_text(now);
-        let none = r.prometheus_text_labeled(now, |_| None);
-        assert_eq!(plain, none, "a None labeler changes nothing");
+        let none = r.prometheus_text_multi_labeled(now, |_| Vec::new());
+        assert_eq!(plain, none, "an empty labeler changes nothing");
 
-        let labeled = r.prometheus_text_labeled(now, |name| {
-            name.starts_with("replica.r0.")
-                .then(|| ("site".to_owned(), "east".to_owned()))
+        let labeled = r.prometheus_text_multi_labeled(now, |name| {
+            if name.starts_with("replica.r0.") {
+                vec![("site".to_owned(), "east".to_owned())]
+            } else {
+                Vec::new()
+            }
         });
         validate_prometheus_text(&labeled).expect("labeled output parses strictly");
         assert!(labeled.contains(r#"replica_r0_latency_us{quantile="0.5",site="east"}"#));
@@ -1159,6 +1183,24 @@ mod windowed_tests {
         assert!(labeled.contains(r#"replica_r0_latency_us_count{site="east"}"#));
         assert!(labeled.contains(r#"replica_r0_errors{site="east"} 1"#));
         assert!(labeled.contains("fleetwide_requests 9\n"), "unlabeled series untouched");
+    }
+
+    #[test]
+    fn label_values_are_escaped_in_the_exposition() {
+        let mut r = reg();
+        let id = r.counter("tenant.x.accepted");
+        r.record(id, SimTime::from_secs(1), 1);
+        let text = r.prometheus_text_multi_labeled(SimTime::from_secs(10), |_| {
+            vec![
+                ("tenant".to_owned(), "ev\"il\\x\ny".to_owned()),
+                ("site".to_owned(), "east".to_owned()),
+            ]
+        });
+        validate_prometheus_text(&text).expect("escaped label values parse strictly");
+        assert!(
+            text.contains(r#"tenant_x_accepted{tenant="ev\"il\\x\ny",site="east"} 1"#),
+            "{text}"
+        );
     }
 
     #[test]

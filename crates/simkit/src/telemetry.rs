@@ -6,7 +6,10 @@
 //! Figures 6–8. It cannot answer *"which pipeline stage caused this peak"*.
 //! This module adds the attribution layer: typed **spans** with parent
 //! causality and key–value attributes, monotonic **counters**, and
-//! log-bucketed duration **histograms**, all stamped in virtual time.
+//! per-stage duration **histograms**, all stamped in virtual time. Each
+//! closed span records its duration in microsecond ticks into a
+//! [`WindowAgg`] histogram keyed by the span name — the same log₂
+//! histogram the windowed health registry uses.
 //!
 //! The subsystem is *zero-overhead when disabled*: the [`Sim`] span/counter
 //! entry points check a single `Option` and return immediately (tracked by
@@ -32,7 +35,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::time::{Duration, SimTime};
+use crate::metrics::WindowAgg;
+use crate::time::{SimTime, TICKS_PER_SEC};
 
 /// Handle to a recorded span. `SpanId::NONE` is the null handle: returned
 /// by `Sim::span_begin` while telemetry is disabled, and accepted (as a
@@ -140,101 +144,16 @@ impl SpanRecord {
     }
 }
 
-/// Number of log₂ duration buckets (covers 1 µs .. u64::MAX µs).
-const HISTO_BUCKETS: usize = 64;
-
-/// A log-bucketed duration histogram: bucket `i` counts durations in
-/// `(2^(i-1), 2^i]` microseconds (bucket 0 holds 0–1 µs).
-#[derive(Clone, Debug)]
-pub struct DurationHisto {
-    counts: [u64; HISTO_BUCKETS],
-    count: u64,
-    sum_ticks: u64,
-    max_ticks: u64,
-}
-
-impl Default for DurationHisto {
-    fn default() -> Self {
-        DurationHisto {
-            counts: [0; HISTO_BUCKETS],
-            count: 0,
-            sum_ticks: 0,
-            max_ticks: 0,
-        }
-    }
-}
-
-impl DurationHisto {
-    fn bucket_of(us: u64) -> usize {
-        ((64 - us.leading_zeros()) as usize).min(HISTO_BUCKETS - 1)
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: Duration) {
-        let us = d.ticks();
-        self.counts[Self::bucket_of(us)] += 1;
-        self.count += 1;
-        self.sum_ticks = self.sum_ticks.saturating_add(us);
-        self.max_ticks = self.max_ticks.max(us);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.sum_ticks as f64 / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Mean observation, seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_secs() / self.count as f64
-        }
-    }
-
-    /// Largest observation, seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.max_ticks as f64 / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Quantile estimate in seconds: linear interpolation inside the log₂
-    /// bucket holding the target rank, clamped to the observed maximum.
-    /// `q` is clamped to `[0, 1]`; an empty histogram yields 0.0.
-    pub fn quantile(&self, q: f64) -> f64 {
-        crate::metrics::quantile_from_log2(&self.counts, self.count, self.max_ticks, q)
-            / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Non-empty buckets as `(upper_bound_us, count)` pairs, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let upper = if i == 0 { 1 } else { 1u64 << i.min(63) };
-                (upper, c)
-            })
-            .collect()
-    }
-}
-
 /// The telemetry store owned by a [`Sim`](crate::engine::Sim) once
 /// `enable_telemetry` has been called.
 #[derive(Default)]
 pub struct Telemetry {
     pub(crate) spans: Vec<SpanRecord>,
     pub(crate) counters: BTreeMap<&'static str, u64>,
-    pub(crate) histos: BTreeMap<&'static str, DurationHisto>,
+    /// Span durations per stage name, in microsecond ticks.
+    pub(crate) histos: BTreeMap<&'static str, WindowAgg>,
     /// Labelled-event execution counts (see `Sim::schedule_labeled`).
     pub(crate) labels: BTreeMap<&'static str, u64>,
-    /// Compat instant-event log (the old `trace_lines` strings).
-    pub(crate) events: Vec<(SimTime, String)>,
     /// Per-bump counter history `(at, name, cumulative value)` — exported
     /// as Chrome-trace `"C"` counter tracks so Perfetto shows load curves
     /// alongside the spans.
@@ -277,7 +196,10 @@ impl Telemetry {
         rec.end = Some(at.max(rec.start));
         rec.failed = failed;
         let d = at.max(rec.start).since(rec.start);
-        self.histos.entry(rec.name).or_default().record(d);
+        self.histos
+            .entry(rec.name)
+            .or_insert_with(WindowAgg::histogram)
+            .record(d.ticks());
     }
 
     pub(crate) fn add_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
@@ -316,19 +238,14 @@ impl Telemetry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The duration histogram for a span name or explicit observation key.
-    pub fn histogram(&self, name: &str) -> Option<&DurationHisto> {
+    /// The duration histogram (microsecond ticks) for a span name.
+    pub fn histogram(&self, name: &str) -> Option<&WindowAgg> {
         self.histos.get(name)
     }
 
     /// Labelled-event execution counts (`Sim::schedule_labeled`).
     pub fn labels(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.labels.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Compat instant-event log (old `Sim::trace` lines).
-    pub fn events(&self) -> &[(SimTime, String)] {
-        &self.events
     }
 
     /// Counter bump history `(at, name, cumulative value)`, in record
@@ -444,25 +361,10 @@ impl Telemetry {
             events.push((end, lane, lane_seq[lane], close));
             lane_seq[lane] += 1;
         }
-        // instant events (compat trace lines) on a dedicated lane
-        let instant_lane = lane_free_at.len();
-        for (seq, (at, msg)) in self.events.iter().enumerate() {
-            events.push((
-                at.ticks(),
-                instant_lane,
-                seq,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"trace\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    json_escape(msg),
-                    at.ticks(),
-                    instant_lane + 1
-                ),
-            ));
-        }
-        // counter tracks ("C" phase) on the lane after the instants: one
+        // counter tracks ("C" phase) on the lane after the spans: one
         // Perfetto counter track per counter name, each sample carrying the
         // cumulative value at that bump
-        let counter_lane = instant_lane + 1;
+        let counter_lane = lane_free_at.len();
         for (seq, (at, name, value)) in self.counter_samples.iter().enumerate() {
             events.push((
                 at.ticks(),
@@ -511,14 +413,15 @@ impl Telemetry {
                 "  {:<24} {:>6} {:>12} {:>12} {:>12}\n",
                 "stage", "count", "total_s", "p50_s", "p99_s"
             ));
+            let secs = |ticks: f64| ticks / TICKS_PER_SEC as f64;
             for (name, h) in &self.histos {
                 out.push_str(&format!(
                     "  {:<24} {:>6} {:>12.3} {:>12.3} {:>12.3}\n",
                     name,
                     h.count(),
-                    h.total_secs(),
-                    h.quantile(0.5),
-                    h.quantile(0.99)
+                    secs(h.sum() as f64),
+                    secs(h.quantile(0.5)),
+                    secs(h.quantile(0.99))
                 ));
             }
         }
@@ -1010,21 +913,10 @@ mod tests {
         let s = t.span(id).unwrap();
         assert_eq!(s.end, Some(SimTime::from_secs(1)));
         assert!(s.failed);
-        assert_eq!(t.histogram("x").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut h = DurationHisto::default();
-        h.record(Duration::from_micros(1));
-        h.record(Duration::from_micros(3));
-        h.record(Duration::from_micros(1000));
-        assert_eq!(h.count(), 3);
-        let buckets = h.buckets();
-        assert_eq!(buckets.iter().map(|&(_, c)| c).sum::<u64>(), 3);
-        // 3 µs lands in the (2,4] bucket
-        assert!(buckets.iter().any(|&(ub, c)| ub == 4 && c == 1));
-        assert!((h.max_secs() - 1e-3).abs() < 1e-12);
+        // the duration lands once, in microsecond ticks
+        let h = t.histogram("x").unwrap();
+        assert_eq!((h.count(), h.sum(), h.max()), (1, 1_000_000, 1_000_000));
+        assert_eq!(h.quantile(0.5), 1_000_000.0);
     }
 
     #[test]
@@ -1045,6 +937,7 @@ mod tests {
     #[test]
     fn open_spans_are_closed_at_export_time() {
         let t = store_with(&[("open_root", 0, 5, None)]);
+        assert!(t.histogram("open_root").is_none(), "nothing recorded until close");
         let json = t.to_chrome_trace(SimTime::from_ticks(77));
         let check = validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(check.begins, check.ends);
@@ -1116,46 +1009,60 @@ mod tests {
     }
 
     #[test]
+    fn span_tree_text_is_pinned_byte_for_byte() {
+        // nested spans, a failed span, an open span, attrs, counters and
+        // labelled events: the whole rendering, including the per-stage
+        // quantile columns, compared against a literal
+        let mut t = store_with(&[
+            ("invoke", 0, 0, None),
+            ("auth", 1, 10, Some(2_000_000)),
+            ("stage", 1, 2_000_000, Some(5_500_000)),
+            ("db.load", 3, 2_100_000, Some(2_350_000)),
+            ("stage", 1, 5_500_000, None),
+            ("poll", 0, 6_000_000, None),
+        ]);
+        t.add_attr(SpanId(3), "bytes", AttrValue::U64(65_536));
+        t.add_attr(SpanId(3), "service", AttrValue::Str("echo".into()));
+        t.add_attr(SpanId(4), "hit", AttrValue::Bool(false));
+        t.add_attr(SpanId(5), "secs", AttrValue::F64(0.25));
+        t.add_attr(SpanId(5), "error", AttrValue::Str("timeout".into()));
+        t.end_span(SpanId(5), SimTime::from_ticks(5_503_000), true);
+        t.end_span(SpanId(1), SimTime::from_secs(7), false);
+        t.counters.insert("polls", 3);
+        t.counters.insert("fleet.booted", 2);
+        t.labels.insert("gram.tick", 11);
+        let expected = r#"span tree (virtual seconds):
+invoke [0.000 – 7.000] 7.000s
+  auth [0.000 – 2.000] 2.000s
+  stage [2.000 – 5.500] 3.500s bytes=65536 service=echo
+    db.load [2.100 – 2.350] 0.250s hit=false
+  stage [5.500 – 5.503] 0.003s FAILED secs=0.25 error=timeout
+poll [6.000 – …] open (2.000s)
+
+per-stage totals:
+  stage                     count      total_s        p50_s        p99_s
+  auth                          1        2.000        2.000        2.000
+  db.load                       1        0.250        0.250        0.250
+  invoke                        1        7.000        7.000        7.000
+  stage                         2        3.503        0.004        3.500
+
+counters:
+  fleet.booted                     2
+  polls                            3
+
+events executed by label:
+  gram.tick                        11
+"#;
+        assert_eq!(t.span_tree(SimTime::from_secs(8)), expected);
+    }
+
+    #[test]
     fn span_tree_totals_show_quantile_columns() {
         let t = store_with(&[("stage", 0, 0, Some(1_000_000))]);
         let text = t.span_tree(SimTime::from_secs(1));
         assert!(text.contains("p50_s"), "{text}");
         assert!(text.contains("p99_s"), "{text}");
         assert!(!text.contains("mean_s"), "{text}");
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates_and_clamps() {
-        let mut h = DurationHisto::default();
-        for ms in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
-            h.record(Duration::from_millis(ms));
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        assert!(p50 > 0.0 && p50 < 0.1, "p50 = {p50}");
-        assert!((h.quantile(1.0) - 1.0).abs() < 1e-9, "q1 clamps to max");
-        assert!((p99 - 1.0).abs() < 0.6, "p99 = {p99} near the outlier");
-        assert!(p50 <= h.quantile(0.9), "monotone in q");
-        // degenerate cases
-        assert_eq!(DurationHisto::default().quantile(0.99), 0.0);
-        let mut one = DurationHisto::default();
-        one.record(Duration::from_millis(7));
-        assert!((one.quantile(0.5) - 0.007).abs() < 1e-9);
-        assert!((one.quantile(0.0) - one.quantile(1.0)).abs() < 1e-2);
-    }
-
-    #[test]
-    fn histogram_quantile_exact_within_single_value() {
-        // all mass on one value: every quantile clamps to it
-        let mut h = DurationHisto::default();
-        for _ in 0..100 {
-            h.record(Duration::from_micros(1024));
-        }
-        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert!(v <= 1024e-6 + 1e-12, "q={q} gave {v}");
-            assert!(v > 512e-6, "q={q} gave {v} below the bucket");
-        }
     }
 
     #[test]
@@ -1170,6 +1077,27 @@ mod tests {
         assert_eq!(check.begins, 1);
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"value\":2"));
+    }
+
+    #[test]
+    fn counter_track_sits_on_the_lane_after_the_spans() {
+        // two overlapping spans take lanes 1 and 2; counters go on lane 3
+        let mut t = store_with(&[("a", 0, 0, Some(50)), ("b", 0, 10, Some(60))]);
+        t.counter_samples.push((SimTime::from_ticks(20), "reqs", 1));
+        let json = t.to_chrome_trace(SimTime::from_ticks(60));
+        let Json::Arr(events) = parse_json(&json).unwrap().get("traceEvents").unwrap().clone()
+        else {
+            panic!("traceEvents is an array")
+        };
+        let tids = |ph: &str| -> Vec<f64> {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .map(|e| e.get("tid").and_then(Json::as_num).unwrap())
+                .collect()
+        };
+        assert_eq!(tids("B"), vec![1.0, 2.0]);
+        assert_eq!(tids("C"), vec![3.0]);
     }
 
     #[test]

@@ -103,13 +103,17 @@ cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
 cmp target/experiments/noisyneighbor-run1.csv target/experiments/noisyneighbor.csv
 cmp target/experiments/noisyneighbor-run1.prom target/experiments/noisyneighbor.prom
 
-echo "==> perfbench smoke (public API + recorded virtual-result digests)"
+echo "==> perfbench smoke (public API + recorded virtual-result digests, untraced and traced)"
 # perfbench is its own Cargo package that calls only the public API; each
 # run re-checks its replications against perfbench/digests.tsv and exits
-# non-zero with "correct": false on any drift.
+# non-zero with "correct": false on any drift. The traced pass also checks
+# that tracing leaves the virtual results unchanged and that its per-step
+# charges account for at least 95% of the traced window.
 for w in population tenants publish; do
-  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$w" --seed dev --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+  for t in 0 1; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed dev --seconds 1 --trace "$t" | tail -n 1 | grep -q '"correct": true'
+  done
 done
 
 echo "CI OK"
