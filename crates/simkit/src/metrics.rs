@@ -1015,18 +1015,6 @@ mod windowed_tests {
         let b = log2_bucket(3);
         assert_eq!((log2_bucket_lower(b), log2_bucket_upper(b)), (2, 4));
         assert_eq!(a.buckets[b], 2, "2 and 3 share the bucket");
-
-        // span durations in µs: nine short stages and one 1 s outlier
-        let mut h = WindowAgg::histogram();
-        for ms in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
-            h.record(ms * 1000);
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        assert!(p50 > 0.0 && p50 < 100_000.0, "p50 = {p50}");
-        assert_eq!(h.quantile(1.0), 1e6, "q1 clamps to max");
-        assert!((p99 - 1e6).abs() < 0.6e6, "p99 = {p99} near the outlier");
-        assert!(p50 <= h.quantile(0.9), "monotone in q");
     }
 
     #[test]
@@ -1041,24 +1029,6 @@ mod windowed_tests {
         let q75 = a.quantile(0.75);
         assert!(q25 < q75, "{q25} vs {q75}");
         assert!(q25 >= 4.0 && q75 <= 8.0, "{q25}..{q75}");
-
-        // one observation: the interpolation clamps to it
-        let mut one = WindowAgg::histogram();
-        one.record(7000);
-        assert!((one.quantile(0.5) - 7000.0).abs() < 1e-9);
-        assert!((one.quantile(0.0) - one.quantile(1.0)).abs() < 1e4);
-
-        // all mass on one value: every quantile stays inside its bucket and
-        // never above the value
-        let mut h = WindowAgg::histogram();
-        for _ in 0..100 {
-            h.record(1024);
-        }
-        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert!(v <= 1024.0, "q={q} gave {v}");
-            assert!(v > 512.0, "q={q} gave {v} below the bucket");
-        }
     }
 
     #[test]

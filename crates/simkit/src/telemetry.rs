@@ -944,6 +944,59 @@ mod tests {
         assert_eq!(check.max_ts_us, 77);
     }
 
+    /// Store holding one closed `"stage"` span per duration (µs).
+    fn stage_durations(us: impl IntoIterator<Item = u64>) -> Telemetry {
+        let mut t = Telemetry::default();
+        for d in us {
+            let id = t.begin_span("stage", SpanId::NONE, SimTime::ZERO);
+            t.end_span(id, SimTime::from_ticks(d), false);
+        }
+        t
+    }
+
+    #[test]
+    fn histogram_buckets_are_log2() {
+        let t = stage_durations([1, 3, 1000]);
+        let h = t.histogram("stage").unwrap();
+        assert_eq!((h.count(), h.sum(), h.max()), (3, 1004, 1000));
+        // the median (3 µs) is alone in the (2,4] bucket, so its estimate is
+        // that bucket's upper edge
+        assert_eq!(h.quantile(0.5), 4.0);
+    }
+
+    #[test]
+    fn histogram_quantile_interpolates_and_clamps() {
+        // nine short stages and one 1 s outlier
+        let t = stage_durations([10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000].map(|ms| ms * 1000));
+        let h = t.histogram("stage").unwrap();
+        let p50 = h.quantile(0.5);
+        let p99 = h.quantile(0.99);
+        assert!(p50 > 0.0 && p50 < 100_000.0, "p50 = {p50}");
+        assert_eq!(h.quantile(1.0), 1e6, "q1 clamps to max");
+        assert!((p99 - 1e6).abs() < 0.6e6, "p99 = {p99} near the outlier");
+        assert!(p50 <= h.quantile(0.9), "monotone in q");
+        // degenerate cases
+        assert!(Telemetry::default().histogram("stage").is_none());
+        let one = stage_durations([7000]);
+        let one = one.histogram("stage").unwrap();
+        assert!((one.quantile(0.5) - 7000.0).abs() < 1e-9);
+        assert!((one.quantile(0.0) - one.quantile(1.0)).abs() < 1e4);
+    }
+
+    #[test]
+    fn histogram_quantile_exact_within_single_value() {
+        // all mass on one value: every quantile stays inside its bucket and
+        // never above the value
+        let t = stage_durations(std::iter::repeat_n(1024, 100));
+        let h = t.histogram("stage").unwrap();
+        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!(v <= 1024.0, "q={q} gave {v}");
+            assert!(v > 512.0, "q={q} gave {v} below the bucket");
+        }
+    }
+
+
     #[test]
     fn attrs_and_escapes_survive_export() {
         let mut t = Telemetry::default();
