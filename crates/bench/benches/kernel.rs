@@ -6,9 +6,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{Runner, KB};
 use simkit::wheel::TimerWheel;
 use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim, SimTime};
 
@@ -141,20 +138,7 @@ fn bench_telemetry(c: &mut Criterion) {
 fn bench_fig6_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.bench_function("fig6_invocation", |b| {
-        b.iter(|| {
-            let mut r = Runner::new(6, &DeploymentSpec::default());
-            r.publish(
-                "small.exe",
-                64,
-                ExecutionProfile::quick()
-                    .lasting(Duration::from_secs(60))
-                    .producing(48.0 * KB),
-                &[],
-            );
-            let (res, _) = r.invoke_blocking("small", &[]);
-            res.expect("invocation");
-            black_box(r.sim.now())
-        })
+        b.iter(|| black_box(onserve_bench::fig6_pipeline(false).r.sim.now()))
     });
     g.finish();
 }

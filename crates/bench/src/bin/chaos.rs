@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin chaos`
 
-use onserve_bench::chaos::{self, OFFERED_RPS};
-use simkit::report::TextTable;
+use onserve_bench::chaos::{self, Chaos, OFFERED_RPS};
+use onserve_bench::scenario;
 
 fn main() {
     println!(
@@ -16,45 +16,5 @@ fn main() {
             .map(|d| d.as_secs_f64())
             .collect::<Vec<_>>()
     );
-    let points = chaos::sweep();
-
-    let mut t = TextTable::new(vec![
-        "retry",
-        "issued",
-        "completed",
-        "faulted",
-        "shed",
-        "retried",
-        "lost",
-        "replaced",
-        "goodput (req/s)",
-    ]);
-    for p in &points {
-        t.row(vec![
-            (if p.retry { "on" } else { "off" }).to_string(),
-            p.issued.to_string(),
-            p.completed.to_string(),
-            p.faulted.to_string(),
-            p.shed.to_string(),
-            p.retried.to_string(),
-            p.lost.to_string(),
-            p.replaced.to_string(),
-            format!("{:.3}", p.goodput_rps),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let on = points.iter().find(|p| p.retry).expect("retry-on row");
-    let off = points.iter().find(|p| !p.retry).expect("retry-off row");
-    println!(
-        "retry recovers {:.1}x the goodput of fail-fast under the same crashes",
-        on.goodput_rps / off.goodput_rps
-    );
-
-    let csv = chaos::csv(&points);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("chaos.csv");
-    std::fs::write(&path, csv).expect("write chaos.csv");
-    println!("\n(CSV written to {})", path.display());
+    scenario::run::<Chaos>();
 }

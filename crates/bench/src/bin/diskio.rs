@@ -55,6 +55,7 @@ fn store_batch(strategy: WriteStrategy, n: u32, seed: u64, telemetry: bool) -> (
 }
 
 fn main() {
+    let trace = trace_arg();
     let n = 20;
     println!("==== D-3 disk I/O: storing {n} x 5 MB uploads ====\n");
     let configs = [
@@ -125,7 +126,7 @@ fn main() {
          just one write\"); this path is mandatory, not a flaw."
     );
 
-    if let Some(path) = trace_arg() {
+    if let Some(path) = trace {
         // re-run the double-write batch with telemetry on; the measured
         // runs stay untraced so their numbers are unperturbed
         eprintln!("\ntracing the double-write store batch...");

@@ -15,78 +15,25 @@
 //! Pass `--trace fig6.trace.json` to record the run's causal span tree
 //! and dump it as Chrome trace-event JSON (open in Perfetto).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, render_figure, trim_curves, Runner, KB};
-use simkit::Duration;
+use onserve_bench::{figure_curves, render_figure, Invoked, FIG6_SERIES, KB};
 use wsstack::SoapValue;
 
 fn main() {
     let trace = onserve_bench::trace_arg();
-    let mut r = Runner::new(6, &DeploymentSpec::default());
-    if trace.is_some() {
-        r.sim.enable_telemetry();
-    }
-    // a very small file (some bytes); the job runs ~60 s and writes a
-    // modest output that the poller keeps re-fetching
-    r.publish(
-        "small.exe",
-        64,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(60))
-            .producing(48.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, done_at) = r.invoke_blocking("small", &[]);
-    let bytes = match res.expect("invocation") {
+    let Invoked {
+        r,
+        t0,
+        output,
+        done_at,
+    } = onserve_bench::fig6_pipeline(trace.is_some());
+    let bytes = match output {
         SoapValue::Binary { bytes, .. } => bytes,
         other => panic!("unexpected {other:?}"),
     };
 
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.cpu.busy"),
-            t0,
-            "CPU utilization",
-            "%",
-            100.0 / iv,
-        ),
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
-    if let Ok(path) = onserve_bench::save_curves("fig6", &curves) {
-        eprintln!("(curves saved to {})", path.display());
-    }
+    let curves = figure_curves(&r.sim, t0, &FIG6_SERIES, ("KB/s", KB));
+    let path = onserve_bench::save_curves("fig6", &curves).expect("write the curves CSV");
+    eprintln!("(curves saved to {})", path.display());
     println!(
         "{}",
         render_figure(
@@ -99,6 +46,7 @@ fn main() {
     );
 
     // quantitative footer for EXPERIMENTS.md
+    let rec = r.sim.recorder_ref();
     let wall = (done_at - t0).as_secs_f64();
     let cred = rec.total("mp.fwd.bytes") + rec.total("mp.rev.bytes");
     let wan: f64 = r

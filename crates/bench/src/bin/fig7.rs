@@ -14,65 +14,14 @@
 //! Pass `--trace fig7.trace.json` to dump the run's causal span tree as
 //! Chrome trace-event JSON (open in Perfetto).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, render_figure, trim_curves, Runner, KB};
-use simkit::Duration;
+use onserve_bench::{figure_curves, render_figure, Invoked, FIG7_SERIES, KB};
 
 fn main() {
     let trace = onserve_bench::trace_arg();
-    let mut r = Runner::new(7, &DeploymentSpec::default());
-    if trace.is_some() {
-        r.sim.enable_telemetry();
-    }
-    r.publish(
-        "large.exe",
-        5 * 1024 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(45))
-            .producing(32.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, done_at) = r.invoke_blocking("large", &[]);
-    res.expect("invocation");
-
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
-    if let Ok(path) = onserve_bench::save_curves("fig7", &curves) {
-        eprintln!("(curves saved to {})", path.display());
-    }
+    let Invoked { r, t0, done_at, .. } = onserve_bench::fig7_pipeline(trace.is_some());
+    let curves = figure_curves(&r.sim, t0, &FIG7_SERIES, ("KB/s", KB));
+    let path = onserve_bench::save_curves("fig7", &curves).expect("write the curves CSV");
+    eprintln!("(curves saved to {})", path.display());
     println!(
         "{}",
         render_figure(
@@ -84,6 +33,8 @@ fn main() {
     );
 
     // the staging plateau, measured from the egress series
+    let rec = r.sim.recorder_ref();
+    let iv = rec.interval().as_secs_f64();
     let egress = rec.series("appliance.net.out.bytes").expect("egress");
     let start = (t0.ticks() / egress.interval().ticks()) as usize;
     let plateau: Vec<f64> = egress.buckets()[start..]

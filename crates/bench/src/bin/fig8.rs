@@ -19,58 +19,18 @@
 //! span tree as Chrome trace-event JSON (the double-write shows up as
 //! two `db.*_write` child spans under `db.store`).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, render_figure, trim_curves, Runner, KB};
+use onserve_bench::{figure_curves, render_figure, FIG8_SERIES, KB};
 use simkit::{Duration, SimTime, MB};
 
 fn run(interval: Duration, title: &str, trace: Option<&std::path::Path>) -> (String, f64, usize) {
-    let mut r = Runner::with_sampling(8, &DeploymentSpec::default(), interval);
-    if trace.is_some() {
-        r.sim.enable_telemetry();
-    }
-    let t0 = SimTime::ZERO;
-    r.publish("upload5mb.exe", 5 * 1024 * 1024, ExecutionProfile::quick(), &[]);
+    let r = onserve_bench::fig8_pipeline(interval, trace.is_some());
     if let Some(path) = trace {
         onserve_bench::write_trace(&r.sim, path).expect("write trace");
     }
-    let iv = interval.as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.cpu.busy"),
-            t0,
-            "CPU utilization",
-            "%",
-            100.0 / iv,
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-    ];
-    trim_curves(&mut curves);
+    let curves = figure_curves(&r.sim, SimTime::ZERO, &FIG8_SERIES, ("MB/s", MB));
     let csv_name = format!("fig8-{}ms", interval.as_secs_f64() * 1000.0);
-    if let Ok(path) = onserve_bench::save_curves(&csv_name, &curves) {
-        eprintln!("(curves saved to {})", path.display());
-    }
+    let path = onserve_bench::save_curves(&csv_name, &curves).expect("write the curves CSV");
+    eprintln!("(curves saved to {})", path.display());
     let rendered = render_figure(
         title,
         "paper: tall network-in peak (1000 Mbit/s LAN); high CPU from\n\
@@ -78,6 +38,7 @@ fn run(interval: Duration, title: &str, trace: Option<&std::path::Path>) -> (Str
         &curves,
     );
     // count distinct disk-write passes
+    let rec = r.sim.recorder_ref();
     let disk = rec.series("appliance.disk.write.bytes").expect("disk");
     let mut passes = 0;
     let mut in_pass = false;

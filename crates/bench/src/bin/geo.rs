@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin geo`
 
-use onserve_bench::geo;
-use simkit::report::TextTable;
+use onserve_bench::geo::{self, Geo};
+use onserve_bench::scenario;
 
 fn main() {
     println!(
@@ -16,55 +16,5 @@ fn main() {
         geo::outage_offset().as_secs_f64(),
         geo::outage_duration().as_secs_f64(),
     );
-    let points = geo::sweep();
-
-    let mut t = TextTable::new(vec![
-        "mode",
-        "issued",
-        "completed",
-        "faulted",
-        "forwarded",
-        "pulled",
-        "blackholed",
-        "wan hops",
-        "link drops",
-        "mean (ms)",
-        "p99 (ms)",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.mode.label().to_string(),
-            p.issued.to_string(),
-            p.completed.to_string(),
-            p.faulted.to_string(),
-            p.forwarded.to_string(),
-            p.results_pulled.to_string(),
-            p.blackholed.to_string(),
-            p.wan_hops.to_string(),
-            p.link_drops.to_string(),
-            format!("{:.1}", p.mean_ms),
-            format!("{:.1}", p.p99_ms),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let row = |m: geo::GeoMode| points.iter().find(|p| p.mode == m).expect("row");
-    let (rr, near) = (row(geo::GeoMode::RoundRobin), row(geo::GeoMode::Nearest));
-    let (obl, fed) = (row(geo::GeoMode::Oblivious), row(geo::GeoMode::Federated));
-    println!(
-        "nearest-site routing cuts mean latency {:.0} ms -> {:.0} ms; federation completes {} of {} where the oblivious control loses {} to timeouts",
-        rr.mean_ms, near.mean_ms, fed.completed, fed.issued, obl.faulted,
-    );
-
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("geo.csv");
-    std::fs::write(&path, geo::csv(&points)).expect("write geo.csv");
-    let prom = dir.join("geo.prom");
-    std::fs::write(&prom, &near.prom).expect("write geo.prom");
-    println!(
-        "\n(CSV written to {}; site-labelled exposition snapshot to {})",
-        path.display(),
-        prom.display()
-    );
+    scenario::run::<Geo>();
 }

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin grayfail`
 
-use onserve_bench::grayfail::{self, SLOW_FACTOR};
-use simkit::report::TextTable;
+use onserve_bench::grayfail::{self, Grayfail, SLOW_FACTOR};
+use onserve_bench::scenario;
 
 fn main() {
     println!(
@@ -14,57 +14,5 @@ fn main() {
         SLOW_FACTOR,
         grayfail::degrade_offset().as_secs_f64(),
     );
-    let points = grayfail::sweep();
-
-    let mut t = TextTable::new(vec![
-        "detector",
-        "issued",
-        "completed",
-        "faulted",
-        "probations",
-        "ejections",
-        "replaced",
-        "probation at (+s)",
-        "ejected at (+s)",
-        "fleet p99 (s)",
-    ]);
-    for p in &points {
-        t.row(vec![
-            (if p.detector { "on" } else { "off" }).to_string(),
-            p.issued.to_string(),
-            p.completed.to_string(),
-            p.faulted.to_string(),
-            p.probations.to_string(),
-            p.ejections.to_string(),
-            p.replaced.to_string(),
-            format!("{:.0}", p.first_probation_s),
-            format!("{:.0}", p.first_eject_s),
-            format!("{:.3}", p.fleet_p99_s),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let on = points.iter().find(|p| p.detector).expect("detector-on row");
-    let off = points.iter().find(|p| !p.detector).expect("detector-off row");
-    println!(
-        "detector cuts the final-window fleet p99 {:.1}x (from {:.1} s to {:.1} s)",
-        off.fleet_p99_s / on.fleet_p99_s,
-        off.fleet_p99_s,
-        on.fleet_p99_s
-    );
-
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("grayfail.csv");
-    std::fs::write(&path, grayfail::csv(&points)).expect("write grayfail.csv");
-    let prom = dir.join("grayfail.prom");
-    std::fs::write(&prom, &on.prom).expect("write grayfail.prom");
-    let ts = dir.join("grayfail_timeseries.csv");
-    std::fs::write(&ts, &on.timeseries).expect("write grayfail_timeseries.csv");
-    println!(
-        "\n(CSV written to {}; exposition snapshot to {}; time series to {})",
-        path.display(),
-        prom.display(),
-        ts.display()
-    );
+    scenario::run::<Grayfail>();
 }

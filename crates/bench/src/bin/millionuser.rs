@@ -13,7 +13,8 @@
 //! or too noisy to judge) and, at full scale, the experiment's two
 //! structural claims: ≥ 1M distinct principals and ≥ 5×10⁷ kernel events.
 
-use onserve_bench::millionuser::{self, Scale, CI, FULL};
+use onserve_bench::millionuser::{self, MillionUser, Scale, CI, FULL};
+use onserve_bench::scenario;
 
 /// Default wall-clock floor, kernel events per host second. Deliberately
 /// conservative: a release build sustains ~10⁵ fleet-tier events/sec on
@@ -35,38 +36,16 @@ fn main() {
         millionuser::REPLICAS,
         scale.horizon_secs,
     );
-
-    let (point, host) = millionuser::run_point(scale);
-
-    println!(
-        "issued {} (completed {}, faulted {}) from {} distinct principals",
-        point.issued, point.completed, point.faulted, point.distinct_principals
-    );
-    println!(
-        "affinity: {} sticky hits, {} pins (pin table capacity {})",
-        point.affinity_hits,
-        point.affinity_misses,
-        millionuser::AFFINITY_CAPACITY
-    );
-    println!(
-        "latency: mean {:.3} s, p95 {:.3} s",
-        point.mean_latency_s, point.p95_latency_s
-    );
-    println!(
-        "kernel: {} events in {:.1} s wall — {:.2}M events/sec",
-        point.events,
-        host.wall_secs,
-        host.events_per_sec / 1e6
-    );
+    let point = &scenario::run_rows::<MillionUser>(&[scale])[0];
 
     let min_eps = std::env::var("MILLIONUSER_MIN_EPS")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(DEFAULT_MIN_EPS);
     assert!(
-        host.events_per_sec >= min_eps,
+        point.host.events_per_sec >= min_eps,
         "kernel throughput floor violated: {:.0} events/sec < {:.0}",
-        host.events_per_sec,
+        point.host.events_per_sec,
         min_eps
     );
     if !ci {
@@ -81,11 +60,4 @@ fn main() {
             point.events
         );
     }
-
-    let csv = millionuser::csv(&[point]);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("millionuser.csv");
-    std::fs::write(&path, csv).expect("write millionuser.csv");
-    println!("\n(CSV written to {})", path.display());
 }

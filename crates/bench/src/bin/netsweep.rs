@@ -61,6 +61,7 @@ struct Row {
 }
 
 fn main() {
+    let trace = trace_arg();
     let lan_points: Vec<(&str, f64)> = vec![
         ("10 Mbit/s", 10.0e6 / 8.0),
         ("100 Mbit/s", 100.0e6 / 8.0),
@@ -112,7 +113,7 @@ fn main() {
          steeply with bandwidth until another resource takes over."
     );
 
-    if let Some(path) = trace_arg() {
+    if let Some(path) = trace {
         // re-run the stressed paper-WAN point with telemetry on; the sweep
         // itself stays untraced so its numbers are unperturbed
         eprintln!("\ntracing 8 concurrent service uses over the 85 KB/s WAN...");

@@ -3,8 +3,10 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin noisyneighbor`
 
-use onserve_bench::noisyneighbor::{self, Mode, BEHAVED_RPS, BEHAVED_TENANTS, FLOOD_RPS, REPLICAS};
-use simkit::report::TextTable;
+use onserve_bench::noisyneighbor::{
+    self, NoisyNeighbor, BEHAVED_RPS, BEHAVED_TENANTS, FLOOD_RPS, REPLICAS,
+};
+use onserve_bench::scenario;
 
 fn main() {
     println!(
@@ -15,58 +17,5 @@ fn main() {
         REPLICAS,
         noisyneighbor::horizon().as_secs_f64(),
     );
-    let points = noisyneighbor::sweep();
-
-    let mut t = TextTable::new(vec![
-        "mode",
-        "behaved ok/shed",
-        "behaved p99 (s)",
-        "worst tenant p99 (s)",
-        "flood ok/shed",
-        "flood p99 (s)",
-        "door queued",
-        "door shed",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.mode.label().to_string(),
-            format!("{}/{}", p.behaved_ok, p.behaved_shed),
-            format!("{:.2}", p.behaved_p99_s),
-            format!("{:.2}", p.worst_p99_s),
-            format!("{}/{}", p.flood_ok, p.flood_shed),
-            format!("{:.2}", p.flood_p99_s),
-            p.door_queued.to_string(),
-            p.door_shed.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let base = points.iter().find(|p| p.mode == Mode::Base).expect("base");
-    let off = points.iter().find(|p| p.mode == Mode::QosOff).expect("off");
-    let on = points.iter().find(|p| p.mode == Mode::QosOn).expect("on");
-    println!(
-        "QoS off lets the flooder inflate behaved p99 {:.1}x over baseline ({:.1} s -> {:.1} s);",
-        off.behaved_p99_s / base.behaved_p99_s,
-        base.behaved_p99_s,
-        off.behaved_p99_s
-    );
-    println!(
-        "QoS on holds it at {:.2}x baseline ({:.1} s) and pushes the backlog onto the flooder (p99 {:.0} s, {} shed)",
-        on.behaved_p99_s / base.behaved_p99_s,
-        on.behaved_p99_s,
-        on.flood_p99_s,
-        on.flood_shed
-    );
-
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("noisyneighbor.csv");
-    std::fs::write(&path, noisyneighbor::csv(&points)).expect("write noisyneighbor.csv");
-    let prom = dir.join("noisyneighbor.prom");
-    std::fs::write(&prom, &on.prom).expect("write noisyneighbor.prom");
-    println!(
-        "\n(CSV written to {}; QoS-on exposition snapshot to {})",
-        path.display(),
-        prom.display()
-    );
+    scenario::run::<NoisyNeighbor>();
 }

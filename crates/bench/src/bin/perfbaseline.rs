@@ -32,9 +32,7 @@
 use std::time::{Duration as WallDuration, Instant};
 
 use blobstore::BlobDb;
-use onserve::deployment::{synth_payload, DeploymentSpec};
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{Runner, KB};
+use onserve::deployment::synth_payload;
 use simkit::wheel::TimerWheel;
 use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim};
 
@@ -283,17 +281,7 @@ fn bench_blob_load_warm() -> Entry {
 /// The full Figure-6 invocation pipeline; one op = one invocation.
 fn bench_fig6_pipeline() -> Entry {
     measure("pipeline.fig6", 10, || {
-        let mut r = Runner::new(6, &DeploymentSpec::default());
-        r.publish(
-            "small.exe",
-            64,
-            ExecutionProfile::quick()
-                .lasting(Duration::from_secs(60))
-                .producing(48.0 * KB),
-            &[],
-        );
-        let (res, _) = r.invoke_blocking("small", &[]);
-        res.expect("invocation");
+        onserve_bench::fig6_pipeline(false);
         1
     })
 }

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin rollout`
 
-use onserve_bench::rollout::{self, SLOW_FACTOR};
-use simkit::report::TextTable;
+use onserve_bench::rollout::{self, Rollout, SLOW_FACTOR};
+use onserve_bench::scenario;
 
 fn main() {
     println!(
@@ -15,56 +15,5 @@ fn main() {
         SLOW_FACTOR,
         rollout::lemon_offset().as_secs_f64(),
     );
-    let points = rollout::sweep();
-
-    let mut t = TextTable::new(vec![
-        "mode",
-        "issued",
-        "completed",
-        "dropped",
-        "failed",
-        "replaced",
-        "rollbacks",
-        "outcome",
-        "versions",
-        "fleet p99 (s)",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.mode.label().to_string(),
-            p.issued.to_string(),
-            p.completed.to_string(),
-            p.dropped.to_string(),
-            p.failed.to_string(),
-            p.replaced.to_string(),
-            p.rollbacks.to_string(),
-            p.outcome.to_string(),
-            p.versions.clone(),
-            format!("{:.3}", p.fleet_p99_s),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let restart = points.iter().find(|p| p.mode.label() == "restart").expect("row");
-    let rolling = points.iter().find(|p| p.mode.label() == "rolling").expect("row");
-    println!(
-        "restart drops {} of {} requests; rolling drops {} — same seed, same schedule",
-        restart.dropped, restart.issued, rolling.dropped
-    );
-
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("rollout.csv");
-    std::fs::write(&path, rollout::csv(&points)).expect("write rollout.csv");
-    let prom = dir.join("rollout.prom");
-    let promote = points
-        .iter()
-        .find(|p| p.mode.label() == "canary-promote")
-        .expect("promote row");
-    std::fs::write(&prom, &promote.prom).expect("write rollout.prom");
-    println!(
-        "\n(CSV written to {}; exposition snapshot to {})",
-        path.display(),
-        prom.display()
-    );
+    scenario::run::<Rollout>();
 }

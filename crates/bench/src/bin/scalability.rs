@@ -83,6 +83,7 @@ fn invoke_point(n: u32, telemetry: bool) -> (InvokePoint, Runner) {
 }
 
 fn main() {
+    let trace = trace_arg();
     let counts: Vec<u32> = vec![1, 2, 4, 8, 16, 32, 64];
 
     // run sweep points on parallel host threads — each owns its world
@@ -141,7 +142,7 @@ fn main() {
     );
     let _ = MB;
 
-    if let Some(path) = trace_arg() {
+    if let Some(path) = trace {
         // re-run one representative point with telemetry on; the sweep
         // itself stays untraced so its numbers are unperturbed
         eprintln!("\ntracing the 8-invocation point...");

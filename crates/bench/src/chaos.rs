@@ -18,20 +18,17 @@
 //! The goodput gap between the two rows is the point of the tentpole:
 //! the golden test pins the ratio at ≥ 2x.
 //!
-//! Shared by the `chaos` binary and the golden determinism test so both
-//! always describe the same experiment.
-
-use std::rc::Rc;
+//! [`Chaos`] declares the experiment for the bench harness
+//! ([`crate::scenario`]); the `chaos` binary and the golden test both run
+//! that one declaration.
 
 use fleet::{
-    start_open_loop, ArrivalProcess, Autoscaler, AutoscalerConfig, ChaosMonkey, Fleet, FleetSpec,
-    Mix, Policy, RetryConfig, StorageTopology, SubmitFn,
+    start_open_loop, ArrivalProcess, Autoscaler, ChaosMonkey, FleetSpec, Mix, Policy, RetryConfig,
 };
-use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
 use simkit::{Duration, Sim, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, on_off, Scenario};
 
 /// Open-loop offered load, requests/second.
 pub const OFFERED_RPS: f64 = 0.5;
@@ -85,9 +82,7 @@ pub struct ChaosPoint {
 }
 
 fn fleet_spec(retry: bool) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = 2;
+    let mut spec = scenario::fleet_spec(2);
     spec.dispatcher.policy = Policy::RoundRobin;
     // the whole horizon's traffic can be in flight at once
     spec.dispatcher.max_in_flight = 512;
@@ -95,96 +90,94 @@ fn fleet_spec(retry: bool) -> FleetSpec {
     spec
 }
 
-/// Run one row: boot, provision, unleash the schedule, offer load.
-pub fn run_point(retry: bool) -> ChaosPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec(retry));
-    sim.run(); // cold-start both appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(service_time())
-            .producing(64.0 * KB),
-        |_| {},
-    );
-    sim.run();
-    let until = sim.now() + horizon();
-    // replacement-only autoscaler: thresholds parked so Replace is the
-    // only reachable decision
-    let _scaler = Autoscaler::install(
-        &mut sim,
-        &fleet,
-        AutoscalerConfig {
-            interval: Duration::from_secs(15),
-            cooldown: Duration::from_secs(60),
-            scale_up_load: f64::INFINITY,
-            scale_down_load: 0.0,
-            min_replicas: 2,
-            max_replicas: 6,
-            ..AutoscalerConfig::default()
-        },
-        until,
-    );
-    let mut plan = FaultPlan::new(SEED);
-    for t in crash_offsets() {
-        plan = plan.crash_at(t);
-    }
-    let monkey = ChaosMonkey::unleash(&mut sim, &fleet, &plan);
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
-    let stats = start_open_loop(
-        &mut sim,
-        ArrivalProcess::Poisson { rate: OFFERED_RPS },
-        Mix::invoke_only(&["app"]),
-        sink,
-        until,
-    );
-    sim.run(); // drain every outstanding request and retry
-    let c = fleet.dispatcher().counters();
-    assert_eq!(
-        c.accepted,
-        c.completed + c.faulted,
-        "request conservation violated"
-    );
-    assert_eq!(monkey.landed(), fleet.lost_total());
-    ChaosPoint {
-        retry,
-        issued: stats.issued(),
-        completed: stats.completed(),
-        faulted: stats.faulted(),
-        shed: c.shed,
-        retried: c.retried,
-        lost: fleet.lost_total(),
-        replaced: fleet.booted_total() - 2,
-        goodput_rps: stats.completed() as f64 / horizon().as_secs_f64(),
-    }
-}
+/// Two rows, front-door retry on and off.
+pub struct Chaos;
 
-/// Run both rows (retry on, retry off) in parallel.
-pub fn sweep() -> Vec<ChaosPoint> {
-    crate::par_sweep(&[true, false], |_, &retry| run_point(retry))
-}
+impl Scenario for Chaos {
+    type Row = bool;
+    type Point = ChaosPoint;
+    const NAME: &'static str = "chaos";
+    const ROWS: &'static [bool] = &[true, false];
+    const COLUMNS: &'static str =
+        "retry,issued,completed,faulted,shed,retried,replicas_lost,replicas_replaced,goodput_rps";
 
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[ChaosPoint]) -> String {
-    let mut out = String::from(
-        "retry,issued,completed,faulted,shed,retried,replicas_lost,replicas_replaced,goodput_rps\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{:.4}\n",
-            if p.retry { "on" } else { "off" },
-            p.issued,
-            p.completed,
-            p.faulted,
-            p.shed,
-            p.retried,
-            p.lost,
-            p.replaced,
-            p.goodput_rps
-        ));
+    /// Boot, provision, unleash the schedule, offer load.
+    fn run(&retry: &bool) -> ChaosPoint {
+        let mut sim = Sim::new(SEED);
+        let fleet = scenario::boot(&mut sim, fleet_spec(retry), service_time(), 64.0 * KB);
+        let until = sim.now() + horizon();
+        let _scaler =
+            Autoscaler::install(&mut sim, &fleet, scenario::replacement_only(2, 6), until);
+        let mut plan = FaultPlan::new(SEED);
+        for t in crash_offsets() {
+            plan = plan.crash_at(t);
+        }
+        let monkey = ChaosMonkey::unleash(&mut sim, &fleet, &plan);
+        let stats = start_open_loop(
+            &mut sim,
+            ArrivalProcess::Poisson { rate: OFFERED_RPS },
+            Mix::invoke_only(&["app"]),
+            scenario::sink(&fleet),
+            until,
+        );
+        sim.run(); // drain every outstanding request and retry
+        let c = fleet.dispatcher().counters();
+        assert_eq!(
+            c.accepted,
+            c.completed + c.faulted,
+            "request conservation violated"
+        );
+        assert_eq!(monkey.landed(), fleet.lost_total());
+        ChaosPoint {
+            retry,
+            issued: stats.issued(),
+            completed: stats.completed(),
+            faulted: stats.faulted(),
+            shed: c.shed,
+            retried: c.retried,
+            lost: fleet.lost_total(),
+            replaced: fleet.booted_total() - 2,
+            goodput_rps: stats.completed() as f64 / horizon().as_secs_f64(),
+        }
     }
-    out
+
+    fn cells(p: &ChaosPoint) -> Vec<String> {
+        vec![
+            on_off(p.retry),
+            p.issued.to_string(),
+            p.completed.to_string(),
+            p.faulted.to_string(),
+            p.shed.to_string(),
+            p.retried.to_string(),
+            p.lost.to_string(),
+            p.replaced.to_string(),
+            format!("{:.4}", p.goodput_rps),
+        ]
+    }
+
+    fn summary(points: &[ChaosPoint]) -> String {
+        let on = points.iter().find(|p| p.retry).expect("retry-on row");
+        let off = points.iter().find(|p| !p.retry).expect("retry-off row");
+        format!(
+            "retry recovers {:.1}x the goodput of fail-fast under the same crashes",
+            on.goodput_rps / off.goodput_rps
+        )
+    }
+
+    /// Front-door retry recovers at least twice the goodput lost to
+    /// replica crashes.
+    fn check(points: &[ChaosPoint]) {
+        let row = |retry: bool| points.iter().find(|p| p.retry == retry).expect("row");
+        let (on, off) = (row(true), row(false));
+        assert_eq!(on.issued, off.issued, "same seed must offer the same load");
+        assert_eq!(on.lost, 3, "all three pinned crashes must land");
+        assert!(
+            on.goodput_rps >= 2.0 * off.goodput_rps,
+            "retry-on goodput ({}) must be ≥ 2x retry-off ({})",
+            on.goodput_rps,
+            off.goodput_rps
+        );
+        assert!(on.retried > 0, "retry-on must actually retry");
+        assert_eq!(off.retried, 0, "retry-off must never retry");
+    }
 }

@@ -20,21 +20,14 @@
 //! [`StorageTopology::Replicated`] each appliance carries its own store
 //! and throughput grows with N until the offered load is absorbed.
 //!
-//! Shared by the `fleetscale` binary and the golden determinism test so
-//! both always describe the same experiment.
+//! [`FleetScale`] declares the sweep for the bench harness
+//! ([`crate::scenario`]); the `fleetscale` binary and the golden test both
+//! run that one declaration.
 
-use std::rc::Rc;
-
-use fleet::{
-    start_open_loop, ArrivalProcess, Fleet, FleetSpec, Mix, StorageTopology, SubmitFn,
-    WorkloadStats,
-};
-use onserve::profile::ExecutionProfile;
+use fleet::{start_open_loop, ArrivalProcess, FleetSpec, Mix, StorageTopology};
 use simkit::{Duration, HostSpec, Sim, KB, MB};
-use vappliance::ApplianceImage;
 
-/// Replica counts each topology is swept over.
-pub const REPLICAS: [usize; 3] = [1, 2, 4];
+use crate::scenario::{self, Scenario};
 
 /// Open-loop offered load, requests/second.
 pub const OFFERED_RPS: f64 = 5.0;
@@ -66,21 +59,10 @@ pub struct FleetPoint {
     pub booted: u64,
 }
 
-/// The appliance image every replica boots from.
-pub fn fleet_image() -> ApplianceImage {
-    ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    }
-}
-
 /// The sweep's fleet configuration for one point.
 pub fn fleet_spec(topology: StorageTopology, replicas: usize) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
+    let mut spec = scenario::fleet_spec(replicas);
     spec.topology = topology;
-    spec.initial_replicas = replicas;
     // thin per-replica WAN: the 2 MB result serializes for ~1 s per
     // request, making one replica good for ~1 request/s
     spec.base.wan_bandwidth_override = Some(2.0 * MB);
@@ -96,46 +78,27 @@ pub fn fleet_spec(topology: StorageTopology, replicas: usize) -> FleetSpec {
     spec
 }
 
-/// Run one sweep point: boot, provision, offer load, measure.
-pub fn run_point(topology: StorageTopology, replicas: usize, seed: u64) -> FleetPoint {
-    let (sim, _fleet, stats, point) = run_point_instrumented(topology, replicas, seed, false);
-    drop((sim, stats));
-    point
-}
-
-/// [`run_point`] but returning the live simulator and stats, and
-/// optionally with telemetry enabled — the `--trace` path of the binary
-/// uses this to export the span tree of a representative point.
-pub fn run_point_instrumented(
+/// Run one sweep point: boot, provision, offer load, measure. Returns the
+/// drained simulator beside the point; the `--trace` path of the binary
+/// runs one point with `telemetry` on and exports its span tree.
+pub fn run_point(
     topology: StorageTopology,
     replicas: usize,
     seed: u64,
     telemetry: bool,
-) -> (Sim, Rc<Fleet>, Rc<WorkloadStats>, FleetPoint) {
+) -> (Sim, FleetPoint) {
     let mut sim = Sim::new(seed);
     if telemetry {
         sim.enable_telemetry();
     }
-    let fleet = Fleet::new(&mut sim, fleet_spec(topology, replicas));
-    sim.run(); // cold-start every appliance
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(2))
-            .producing(2.0 * MB),
-        |_| {},
-    );
-    sim.run();
+    let spec = fleet_spec(topology, replicas);
+    let fleet = scenario::boot(&mut sim, spec, Duration::from_secs(2), 2.0 * MB);
     let until = sim.now() + horizon();
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
     let stats = start_open_loop(
         &mut sim,
         ArrivalProcess::Poisson { rate: OFFERED_RPS },
         Mix::invoke_only(&["app"]),
-        sink,
+        scenario::sink(&fleet),
         until,
     );
     sim.run();
@@ -150,38 +113,84 @@ pub fn run_point_instrumented(
         issued: stats.issued(),
         booted: fleet.booted_total(),
     };
-    (sim, fleet, stats, point)
+    (sim, point)
 }
 
-/// Run the full sweep (both topologies × [`REPLICAS`]), one thread per
-/// point, seeds fixed per point so the output is reproducible.
-pub fn sweep() -> Vec<FleetPoint> {
-    let points: Vec<(StorageTopology, usize)> = [StorageTopology::Shared, StorageTopology::Replicated]
-        .into_iter()
-        .flat_map(|t| REPLICAS.into_iter().map(move |n| (t, n)))
-        .collect();
-    crate::par_sweep(&points, |i, &(topology, replicas)| {
-        run_point(topology, replicas, 0xf1ee7 + i as u64)
-    })
-}
+/// Both topologies over 1, 2 and 4 replicas, each point with its own
+/// fixed seed.
+pub struct FleetScale;
 
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[FleetPoint]) -> String {
-    let mut out =
-        String::from("replicas,topology,throughput_rps,p50_s,p95_s,p99_s,shed,issued,booted\n");
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{:.4},{:.3},{:.3},{:.3},{},{},{}\n",
-            p.replicas,
-            p.topology.label(),
-            p.throughput_rps,
-            p.p50_s,
-            p.p95_s,
-            p.p99_s,
-            p.shed,
-            p.issued,
-            p.booted
-        ));
+impl Scenario for FleetScale {
+    type Row = (StorageTopology, usize, u64);
+    type Point = FleetPoint;
+    const NAME: &'static str = "fleetscale";
+    const ROWS: &'static [Self::Row] = &[
+        (StorageTopology::Shared, 1, 0xf1ee7),
+        (StorageTopology::Shared, 2, 0xf1ee8),
+        (StorageTopology::Shared, 4, 0xf1ee9),
+        (StorageTopology::Replicated, 1, 0xf1eea),
+        (StorageTopology::Replicated, 2, 0xf1eeb),
+        (StorageTopology::Replicated, 4, 0xf1eec),
+    ];
+    const COLUMNS: &'static str =
+        "replicas,topology,throughput_rps,p50_s,p95_s,p99_s,shed,issued,booted";
+
+    fn run(&(topology, replicas, seed): &Self::Row) -> FleetPoint {
+        run_point(topology, replicas, seed, false).1
     }
-    out
+
+    fn cells(p: &FleetPoint) -> Vec<String> {
+        vec![
+            p.replicas.to_string(),
+            p.topology.label().to_string(),
+            format!("{:.4}", p.throughput_rps),
+            format!("{:.3}", p.p50_s),
+            format!("{:.3}", p.p95_s),
+            format!("{:.3}", p.p99_s),
+            p.shed.to_string(),
+            p.issued.to_string(),
+            p.booted.to_string(),
+        ]
+    }
+
+    fn summary(points: &[FleetPoint]) -> String {
+        let span = |topology: &str| {
+            let tp: Vec<&FleetPoint> = points
+                .iter()
+                .filter(|p| p.topology.label() == topology)
+                .collect();
+            let (first, last) = (tp[0], tp[tp.len() - 1]);
+            let (a, b) = (first.throughput_rps, last.throughput_rps);
+            format!(
+                "{}→{} replicas: {a:.2} → {b:.2} req/s ({:.1}x)",
+                first.replicas,
+                last.replicas,
+                b / a
+            )
+        };
+        format!(
+            "replicated {}\nshared     {} — the NAS is the fleet",
+            span("replicated"),
+            span("shared")
+        )
+    }
+
+    /// Replicas only scale when storage replicates with them.
+    fn check(points: &[FleetPoint]) {
+        let tp = |topology: &str, replicas: usize| {
+            points
+                .iter()
+                .find(|p| p.topology.label() == topology && p.replicas == replicas)
+                .expect("sweep point present")
+                .throughput_rps
+        };
+        assert!(
+            tp("replicated", 4) >= 2.0 * tp("replicated", 1),
+            "replicated storage must scale ≥2x from 1 to 4 replicas"
+        );
+        assert!(
+            tp("shared", 4) <= 1.3 * tp("shared", 1),
+            "shared storage must stay ~flat as replicas are added"
+        );
+    }
 }

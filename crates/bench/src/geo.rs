@@ -31,22 +31,18 @@
 //! real latency, federation loses nothing where the oblivious control
 //! times out.
 //!
-//! Shared by the `geo` binary and the golden determinism test so both
-//! always describe the same experiment.
+//! [`Geo`] declares the experiment for the bench harness
+//! ([`crate::scenario`]); the `geo` binary and the golden test both run
+//! that one declaration.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use fleet::{
-    ChaosMonkey, Fleet, FleetSpec, GeoPlane, HealthConfig, HealthPlane, Policy, Request, SiteMap,
-    StorageTopology,
-};
+use fleet::{ChaosMonkey, Fleet, FleetSpec, GeoPlane, HealthConfig, HealthPlane, Policy, SiteMap};
 use gridsim::SiteSpec;
-use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
 use simkit::{Duration, Sim, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, Scenario};
 
 /// Seed shared by every row — arrivals, placement, and the outage victim
 /// must be identical so the routing/federation knobs are the only
@@ -147,7 +143,10 @@ impl GeoMode {
     }
 
     fn dispatcher_geo(self) -> bool {
-        matches!(self, GeoMode::Nearest | GeoMode::Degraded | GeoMode::Federated)
+        matches!(
+            self,
+            GeoMode::Nearest | GeoMode::Degraded | GeoMode::Federated
+        )
     }
 
     fn sticky(self) -> bool {
@@ -158,15 +157,6 @@ impl GeoMode {
         matches!(self, GeoMode::Oblivious | GeoMode::Federated)
     }
 }
-
-/// All rows, sweep order.
-pub const MODES: [GeoMode; 5] = [
-    GeoMode::RoundRobin,
-    GeoMode::Nearest,
-    GeoMode::Degraded,
-    GeoMode::Oblivious,
-    GeoMode::Federated,
-];
 
 /// One measured row.
 pub struct GeoPoint {
@@ -200,9 +190,7 @@ pub struct GeoPoint {
 }
 
 fn fleet_spec(mode: GeoMode) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
+    let mut spec = scenario::fleet_spec(REPLICAS);
     spec.dispatcher.max_in_flight = 1024;
     if mode == GeoMode::RoundRobin {
         spec.dispatcher.policy = Policy::RoundRobin;
@@ -219,179 +207,228 @@ fn fleet_spec(mode: GeoMode) -> FleetSpec {
     spec
 }
 
-/// Fixed-schedule pacer: one invocation every [`arrival_gap`], origin
-/// following the sun, principals cycling (sticky rows only).
-#[allow(clippy::too_many_arguments)]
-fn pace(
-    sim: &mut Sim,
-    fleet: &Rc<Fleet>,
-    geo: &Rc<GeoPlane>,
-    sticky: bool,
-    t0: simkit::SimTime,
-    until: simkit::SimTime,
-    n: u64,
-    issued: Rc<Cell<u64>>,
-    ok: Rc<Cell<u64>>,
-    bad: Rc<Cell<u64>>,
-    latencies: Rc<RefCell<Vec<f64>>>,
-) {
-    if sim.now() > until {
-        return;
-    }
-    geo.set_origin(geo.map().sun_origin(sim.now() - t0, horizon()));
-    issued.set(issued.get() + 1);
-    let principal = sticky.then(|| format!("t{:02}", n % TENANTS as u64));
-    let (c, f, lat) = (Rc::clone(&ok), Rc::clone(&bad), Rc::clone(&latencies));
-    let sent = sim.now();
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal,
-        },
-        Box::new(move |sim, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-                lat.borrow_mut().push((sim.now() - sent).as_secs_f64());
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let (fl, g) = (Rc::clone(fleet), Rc::clone(geo));
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, &g, sticky, t0, until, n + 1, issued, ok, bad, latencies)
-    });
-}
+/// Five rows, one per routing/fault setting.
+pub struct Geo;
 
-/// Run one row: boot, provision, attach the planes, optionally unleash
-/// the outage, offer the burst schedule, drain completely.
-pub fn run_point(mode: GeoMode) -> GeoPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec(mode));
-    // attach the planes before the boots scheduled by `Fleet::new` run, so
-    // every replica activates with its site placement (WAN costs, outage
-    // blackholing) and a site-labelled health series
-    let plane = HealthPlane::new(HealthConfig::default());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let geo = GeoPlane::new(SiteMap::from_specs(&sites()));
-    geo.set_payload_bytes(payload_bytes());
-    geo.set_spill_threshold(SPILL_THRESHOLD);
-    if mode == GeoMode::Federated {
-        geo.set_federation(true);
-    }
-    let injector = (mode == GeoMode::Degraded).then(|| {
-        let inj = FaultPlan::new(SEED)
-            .link_drop(0.1)
-            .link_extra_delay(Duration::from_millis(250))
-            .injector();
-        geo.set_injector(Rc::clone(&inj));
-        inj
-    });
-    fleet.attach_geo(Rc::clone(&geo));
-    if mode.dispatcher_geo() {
-        fleet.dispatcher().set_geo(Rc::clone(&geo));
-    }
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(2))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
+impl Scenario for Geo {
+    type Row = GeoMode;
+    type Point = GeoPoint;
+    const NAME: &'static str = "geo";
+    const ROWS: &'static [GeoMode] = &[
+        GeoMode::RoundRobin,
+        GeoMode::Nearest,
+        GeoMode::Degraded,
+        GeoMode::Oblivious,
+        GeoMode::Federated,
+    ];
+    const COLUMNS: &'static str =
+        "mode,issued,completed,faulted,shed,forwarded,results_pulled,blackholed,wan_hops,link_drops,mean_ms,p99_ms";
 
-    let t0 = sim.now();
-    let monkey = mode.outage().then(|| {
-        ChaosMonkey::unleash(
+    /// Boot, provision, attach the planes, optionally unleash the outage,
+    /// pace one invocation every [`arrival_gap`] with the origin following
+    /// the sun and principals cycling (sticky rows only), drain
+    /// completely.
+    fn run(&mode: &GeoMode) -> GeoPoint {
+        let mut sim = Sim::new(SEED);
+        let fleet = Fleet::new(&mut sim, fleet_spec(mode));
+        // attach the planes before the boots scheduled by `Fleet::new` run, so
+        // every replica activates with its site placement (WAN costs, outage
+        // blackholing) and a site-labelled health series
+        let plane = HealthPlane::new(HealthConfig::default());
+        fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+        let geo = GeoPlane::new(SiteMap::from_specs(&sites()));
+        geo.set_payload_bytes(payload_bytes());
+        geo.set_spill_threshold(SPILL_THRESHOLD);
+        if mode == GeoMode::Federated {
+            geo.set_federation(true);
+        }
+        let injector = (mode == GeoMode::Degraded).then(|| {
+            let inj = FaultPlan::new(SEED)
+                .link_drop(0.1)
+                .link_extra_delay(Duration::from_millis(250))
+                .injector();
+            geo.set_injector(Rc::clone(&inj));
+            inj
+        });
+        fleet.attach_geo(Rc::clone(&geo));
+        if mode.dispatcher_geo() {
+            fleet.dispatcher().set_geo(Rc::clone(&geo));
+        }
+        scenario::provision(&mut sim, &fleet, Duration::from_secs(2), 16.0 * KB);
+
+        let t0 = sim.now();
+        let monkey = mode.outage().then(|| {
+            ChaosMonkey::unleash(
+                &mut sim,
+                &fleet,
+                &FaultPlan::new(SEED).site_down(outage_offset(), outage_duration()),
+            )
+        });
+        let g = Rc::clone(&geo);
+        let paced = scenario::pace(
             &mut sim,
             &fleet,
-            &FaultPlan::new(SEED).site_down(outage_offset(), outage_duration()),
+            arrival_gap(),
+            t0 + horizon(),
+            move |sim, n| {
+                g.set_origin(g.map().sun_origin(sim.now() - t0, horizon()));
+                mode.sticky().then(|| format!("t{:02}", n % TENANTS as u64))
+            },
+        );
+        sim.run(); // drain every outstanding answer, hold, and watchdog
+        if let Some(m) = &monkey {
+            assert_eq!(m.site_outages(), 1, "the pinned outage registered");
+        }
+
+        let mut lat = paced.latencies.borrow().clone();
+        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mean = if lat.is_empty() {
+            0.0
+        } else {
+            lat.iter().sum::<f64>() / lat.len() as f64
+        };
+        let p99 = if lat.is_empty() {
+            0.0
+        } else {
+            lat[((lat.len() as f64 * 0.99).ceil() as usize).min(lat.len()) - 1]
+        };
+        let d = fleet.dispatcher().counters();
+        let g = geo.counters();
+        GeoPoint {
+            mode,
+            issued: paced.issued.get(),
+            completed: paced.ok.get(),
+            faulted: paced.bad.get(),
+            shed: d.shed,
+            forwarded: d.forwarded,
+            results_pulled: g.results_pulled,
+            blackholed: g.blackholed,
+            wan_hops: g.wan_hops,
+            link_drops: injector.map_or(0, |i| i.counts().link_drops),
+            mean_ms: mean * 1000.0,
+            p99_ms: p99 * 1000.0,
+            prom: plane.prometheus_text(sim.now()),
+        }
+    }
+
+    fn cells(p: &GeoPoint) -> Vec<String> {
+        vec![
+            p.mode.label().to_string(),
+            p.issued.to_string(),
+            p.completed.to_string(),
+            p.faulted.to_string(),
+            p.shed.to_string(),
+            p.forwarded.to_string(),
+            p.results_pulled.to_string(),
+            p.blackholed.to_string(),
+            p.wan_hops.to_string(),
+            p.link_drops.to_string(),
+            format!("{:.2}", p.mean_ms),
+            format!("{:.2}", p.p99_ms),
+        ]
+    }
+
+    /// The nearest row's site-labelled exposition.
+    fn snapshots(points: &[GeoPoint]) -> Vec<(&'static str, String)> {
+        let near = points
+            .iter()
+            .find(|p| p.mode == GeoMode::Nearest)
+            .expect("row");
+        vec![("geo.prom", near.prom.clone())]
+    }
+
+    fn summary(points: &[GeoPoint]) -> String {
+        let row = |m: GeoMode| points.iter().find(|p| p.mode == m).expect("row");
+        let (rr, near) = (row(GeoMode::RoundRobin), row(GeoMode::Nearest));
+        let (obl, fed) = (row(GeoMode::Oblivious), row(GeoMode::Federated));
+        format!(
+            "nearest-site routing cuts mean latency {:.0} ms -> {:.0} ms; federation completes {} of {} where the oblivious control loses {} to timeouts",
+            rr.mean_ms, near.mean_ms, fed.completed, fed.issued, obl.faulted,
         )
-    });
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    let latencies: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-    pace(
-        &mut sim,
-        &fleet,
-        &geo,
-        mode.sticky(),
-        t0,
-        t0 + horizon(),
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-        Rc::clone(&latencies),
-    );
-    sim.run(); // drain every outstanding answer, hold, and watchdog
-    if let Some(m) = &monkey {
-        assert_eq!(m.site_outages(), 1, "the pinned outage registered");
     }
 
-    let mut lat = latencies.borrow().clone();
-    lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mean = if lat.is_empty() {
-        0.0
-    } else {
-        lat.iter().sum::<f64>() / lat.len() as f64
-    };
-    let p99 = if lat.is_empty() {
-        0.0
-    } else {
-        lat[((lat.len() as f64 * 0.99).ceil() as usize).min(lat.len()) - 1]
-    };
-    let d = fleet.dispatcher().counters();
-    let g = geo.counters();
-    GeoPoint {
-        mode,
-        issued: issued.get(),
-        completed: ok.get(),
-        faulted: bad.get(),
-        shed: d.shed,
-        forwarded: d.forwarded,
-        results_pulled: g.results_pulled,
-        blackholed: g.blackholed,
-        wan_hops: g.wan_hops,
-        link_drops: injector.map_or(0, |i| i.counts().link_drops),
-        mean_ms: mean * 1000.0,
-        p99_ms: p99 * 1000.0,
-        prom: plane.prometheus_text(sim.now()),
+    /// Nearest-site routing beats site-oblivious round-robin on mean
+    /// latency, WAN link faults cost real latency, and federation loses
+    /// none of the accepted work that the site-oblivious control times out
+    /// on.
+    fn check(points: &[GeoPoint]) {
+        let row = |m: GeoMode| points.iter().find(|p| p.mode == m).expect("row");
+        let rr = row(GeoMode::RoundRobin);
+        let near = row(GeoMode::Nearest);
+        let deg = row(GeoMode::Degraded);
+        let obl = row(GeoMode::Oblivious);
+        let fed = row(GeoMode::Federated);
+        for p in points {
+            assert_eq!(p.issued, rr.issued, "same seed must offer the same load");
+            assert_eq!(p.shed, 0, "nothing is refused at the door");
+        }
+        // latency-aware routing: nearest-site keeps most answers off the WAN
+        // and beats round-robin on mean latency
+        assert!(
+            near.wan_hops * 3 < rr.wan_hops * 2,
+            "nearest-site routing must cut WAN round trips by a third ({} vs {})",
+            near.wan_hops,
+            rr.wan_hops
+        );
+        assert!(
+            near.mean_ms < rr.mean_ms,
+            "nearest-site routing must beat round-robin on mean latency ({} vs {})",
+            near.mean_ms,
+            rr.mean_ms
+        );
+        // wired link faults: drops and jitter on the same routing cost real
+        // latency
+        assert!(deg.link_drops > 0, "the fault injector must land drops");
+        assert!(
+            deg.mean_ms > near.mean_ms && deg.p99_ms > near.p99_ms,
+            "link faults must cost latency (mean {} vs {}, p99 {} vs {})",
+            deg.mean_ms,
+            near.mean_ms,
+            deg.p99_ms,
+            near.p99_ms
+        );
+        // site-oblivious control: the outage blackholes pinned work until the
+        // watchdog gives up — accepted requests are lost to timeouts
+        assert!(
+            obl.faulted > 0,
+            "the control row must lose work to the outage"
+        );
+        assert!(obl.blackholed > 0, "severed-site requests must blackhole");
+        assert_eq!(
+            obl.completed + obl.faulted,
+            obl.issued,
+            "control-row conservation: every request settles"
+        );
+        // federation: pinned work is forwarded around the outage, answers
+        // produced behind the partition are pulled back on reconnect, and no
+        // accepted request is lost
+        assert_eq!(fed.faulted, 0, "federation must lose nothing");
+        assert_eq!(fed.completed, fed.issued, "federation completes everything");
+        assert!(
+            fed.forwarded > 0,
+            "pinned work must be forwarded cross-site"
+        );
+        assert!(
+            fed.results_pulled > 0,
+            "answers held behind the partition must be pulled back"
+        );
+        assert_eq!(
+            fed.blackholed, 0,
+            "geo routing never feeds the severed site"
+        );
+        assert!(
+            fed.completed > obl.completed,
+            "federation must complete strictly more than the oblivious control"
+        );
+        // the captured exposition carries site labels and satisfies the strict
+        // parser; the nearest row's follow-the-sun traffic touches all three
+        // sites, so every site label must appear
+        scenario::check_exposition(&near.prom);
+        assert!(
+            near.prom.contains(r#"site="east""#)
+                && near.prom.contains(r#"site="central""#)
+                && near.prom.contains(r#"site="west""#),
+            "per-replica series must carry their site label"
+        );
     }
-}
-
-/// Run every row in parallel.
-pub fn sweep() -> Vec<GeoPoint> {
-    crate::par_sweep(&MODES, |_, &mode| run_point(mode))
-}
-
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[GeoPoint]) -> String {
-    let mut out = String::from(
-        "mode,issued,completed,faulted,shed,forwarded,results_pulled,blackholed,wan_hops,link_drops,mean_ms,p99_ms\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.2},{:.2}\n",
-            p.mode.label(),
-            p.issued,
-            p.completed,
-            p.faulted,
-            p.shed,
-            p.forwarded,
-            p.results_pulled,
-            p.blackholed,
-            p.wan_hops,
-            p.link_drops,
-            p.mean_ms,
-            p.p99_ms,
-        ));
-    }
-    out
 }

@@ -22,21 +22,20 @@
 //! and asserts the detector row flags the victim within bounded virtual
 //! time and lands a strictly better fleet p99 than the control row.
 //!
-//! Shared by the `grayfail` binary and the golden determinism test so
-//! both always describe the same experiment.
+//! [`Grayfail`] declares the experiment for the bench harness
+//! ([`crate::scenario`]); the `grayfail` binary and the golden test both
+//! run that one declaration.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use fleet::{
-    Autoscaler, AutoscalerConfig, ChaosMonkey, DetectorAction, Fleet, FleetSpec,
-    GrayFailureDetector, HealthConfig, HealthPlane, Policy, Request, StorageTopology,
+    Autoscaler, ChaosMonkey, DetectorAction, FleetSpec, GrayFailureDetector, HealthConfig,
+    HealthPlane, Policy,
 };
-use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
 use simkit::{Duration, Sim, SimTime, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, on_off, Scenario};
 
 /// Seed shared by both rows — the slow-strike victim and every arrival
 /// must be identical so the detector is the only variable.
@@ -112,9 +111,7 @@ pub struct GrayfailPoint {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
+    let mut spec = scenario::fleet_spec(REPLICAS);
     spec.dispatcher.policy = Policy::RoundRobin;
     // the victim's backlog must queue, not shed: the control row pins
     // hundreds of requests behind the degraded replica
@@ -122,138 +119,142 @@ fn fleet_spec() -> FleetSpec {
     spec
 }
 
-/// Fixed-interval pacer cycling three tenants, counting completions.
-fn pace(sim: &mut Sim, fleet: &Rc<Fleet>, until: SimTime, n: u64, issued: Rc<Cell<u64>>, ok: Rc<Cell<u64>>, bad: Rc<Cell<u64>>) {
-    if sim.now() > until {
-        return;
-    }
-    const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
-    issued.set(issued.get() + 1);
-    let (c, f) = (Rc::clone(&ok), Rc::clone(&bad));
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal: Some(TENANTS[(n % 3) as usize].into()),
-        },
-        Box::new(move |_, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let fl = Rc::clone(fleet);
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, until, n + 1, issued, ok, bad)
-    });
-}
+/// Two rows, gray-failure detector on and off.
+pub struct Grayfail;
 
-/// Run one row: boot, provision, attach the plane, unleash the slow
-/// strike, offer paced load, read the plane at the end.
-pub fn run_point(detector: bool) -> GrayfailPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_millis(200))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
-    let plane = HealthPlane::new(health_config());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let t0 = sim.now();
-    let until = t0 + horizon();
-    // replacement-only autoscaler: thresholds parked so Replace is the
-    // only reachable decision — capacity changes come from the detector
-    let _scaler = Autoscaler::install(
-        &mut sim,
-        &fleet,
-        AutoscalerConfig {
-            interval: Duration::from_secs(15),
-            cooldown: Duration::from_secs(60),
-            scale_up_load: f64::INFINITY,
-            scale_down_load: 0.0,
-            min_replicas: REPLICAS,
-            max_replicas: REPLICAS + 2,
-            ..AutoscalerConfig::default()
-        },
-        until,
-    );
-    let monkey = ChaosMonkey::unleash(
-        &mut sim,
-        &fleet,
-        &FaultPlan::new(SEED).slow_at(degrade_offset(), SLOW_FACTOR),
-    );
-    let sentry = detector.then(|| GrayFailureDetector::install(&mut sim, &fleet, &plane, until));
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    pace(
-        &mut sim,
-        &fleet,
-        until,
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-    );
-    sim.run_until(until);
-    let end = sim.now();
-    assert_eq!(monkey.slowed(), 1, "the pinned slow strike landed");
-    let degrade_at = t0 + degrade_offset();
-    let since = |at: Option<SimTime>| at.map_or(-1.0, |t| (t - degrade_at).as_secs_f64());
-    let events = sentry.as_ref().map_or(Vec::new(), |s| s.events());
-    let first = |action: DetectorAction| {
-        events.iter().find(|e| e.action == action).map(|e| e.at)
-    };
-    GrayfailPoint {
-        detector,
-        issued: issued.get(),
-        completed: ok.get(),
-        faulted: bad.get(),
-        probations: sentry.as_ref().map_or(0, |s| s.probations() as u64),
-        ejections: sentry.as_ref().map_or(0, |s| s.ejections() as u64),
-        replaced: fleet.booted_total() - REPLICAS as u64,
-        first_probation_s: since(first(DetectorAction::Probation)),
-        first_eject_s: since(first(DetectorAction::Ejected)),
-        fleet_p99_s: plane.fleet_p99(end).unwrap_or(-1.0),
-        prom: plane.prometheus_text(end),
-        timeseries: plane.timeseries_csv(),
-    }
-}
+impl Scenario for Grayfail {
+    type Row = bool;
+    type Point = GrayfailPoint;
+    const NAME: &'static str = "grayfail";
+    const ROWS: &'static [bool] = &[true, false];
+    const COLUMNS: &'static str =
+        "detector,issued,completed,faulted,probations,ejections,replaced,first_probation_s,first_eject_s,fleet_p99_s";
 
-/// Run both rows (detector on, detector off) in parallel.
-pub fn sweep() -> Vec<GrayfailPoint> {
-    crate::par_sweep(&[true, false], |_, &detector| run_point(detector))
-}
-
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[GrayfailPoint]) -> String {
-    let mut out = String::from(
-        "detector,issued,completed,faulted,probations,ejections,replaced,first_probation_s,first_eject_s,fleet_p99_s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{:.1},{:.1},{:.4}\n",
-            if p.detector { "on" } else { "off" },
-            p.issued,
-            p.completed,
-            p.faulted,
-            p.probations,
-            p.ejections,
-            p.replaced,
-            p.first_probation_s,
-            p.first_eject_s,
-            p.fleet_p99_s,
-        ));
+    /// Boot, provision, attach the plane, unleash the slow strike, offer
+    /// paced load, read the plane at the end.
+    fn run(&detector: &bool) -> GrayfailPoint {
+        let mut sim = Sim::new(SEED);
+        let lasting = Duration::from_millis(200);
+        let fleet = scenario::boot(&mut sim, fleet_spec(), lasting, 16.0 * KB);
+        let plane = HealthPlane::new(health_config());
+        fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+        let t0 = sim.now();
+        let until = t0 + horizon();
+        // capacity changes come from the detector; the autoscaler only
+        // replaces what it ejects
+        let scale = scenario::replacement_only(REPLICAS, REPLICAS + 2);
+        let _scaler = Autoscaler::install(&mut sim, &fleet, scale, until);
+        let monkey = ChaosMonkey::unleash(
+            &mut sim,
+            &fleet,
+            &FaultPlan::new(SEED).slow_at(degrade_offset(), SLOW_FACTOR),
+        );
+        let sentry =
+            detector.then(|| GrayFailureDetector::install(&mut sim, &fleet, &plane, until));
+        let paced = scenario::pace(&mut sim, &fleet, arrival_gap(), until, |_, n| {
+            scenario::tenant_of_three(n)
+        });
+        sim.run_until(until);
+        let end = sim.now();
+        assert_eq!(monkey.slowed(), 1, "the pinned slow strike landed");
+        let degrade_at = t0 + degrade_offset();
+        let since = |at: Option<SimTime>| at.map_or(-1.0, |t| (t - degrade_at).as_secs_f64());
+        let events = sentry.as_ref().map_or(Vec::new(), |s| s.events());
+        let first =
+            |action: DetectorAction| events.iter().find(|e| e.action == action).map(|e| e.at);
+        GrayfailPoint {
+            detector,
+            issued: paced.issued.get(),
+            completed: paced.ok.get(),
+            faulted: paced.bad.get(),
+            probations: sentry.as_ref().map_or(0, |s| s.probations() as u64),
+            ejections: sentry.as_ref().map_or(0, |s| s.ejections() as u64),
+            replaced: fleet.booted_total() - REPLICAS as u64,
+            first_probation_s: since(first(DetectorAction::Probation)),
+            first_eject_s: since(first(DetectorAction::Ejected)),
+            fleet_p99_s: plane.fleet_p99(end).unwrap_or(-1.0),
+            prom: plane.prometheus_text(end),
+            timeseries: plane.timeseries_csv(),
+        }
     }
-    out
+
+    fn cells(p: &GrayfailPoint) -> Vec<String> {
+        vec![
+            on_off(p.detector),
+            p.issued.to_string(),
+            p.completed.to_string(),
+            p.faulted.to_string(),
+            p.probations.to_string(),
+            p.ejections.to_string(),
+            p.replaced.to_string(),
+            format!("{:.1}", p.first_probation_s),
+            format!("{:.1}", p.first_eject_s),
+            format!("{:.4}", p.fleet_p99_s),
+        ]
+    }
+
+    /// The detector row's exposition and windowed time series.
+    fn snapshots(points: &[GrayfailPoint]) -> Vec<(&'static str, String)> {
+        let on = points.iter().find(|p| p.detector).expect("detector-on row");
+        vec![
+            ("grayfail.prom", on.prom.clone()),
+            ("grayfail_timeseries.csv", on.timeseries.clone()),
+        ]
+    }
+
+    fn summary(points: &[GrayfailPoint]) -> String {
+        let on = points.iter().find(|p| p.detector).expect("detector-on row");
+        let off = points
+            .iter()
+            .find(|p| !p.detector)
+            .expect("detector-off row");
+        format!(
+            "detector cuts the final-window fleet p99 {:.1}x (from {:.1} s to {:.1} s)",
+            off.fleet_p99_s / on.fleet_p99_s,
+            off.fleet_p99_s,
+            on.fleet_p99_s
+        )
+    }
+
+    /// The detector row flags the degraded replica within bounded virtual
+    /// time and lands a strictly better fleet p99 than the control.
+    fn check(points: &[GrayfailPoint]) {
+        let row = |d: bool| points.iter().find(|p| p.detector == d).expect("row");
+        let (on, off) = (row(true), row(false));
+        assert_eq!(on.issued, off.issued, "same seed must offer the same load");
+        assert!(on.probations >= 1, "the victim must reach probation");
+        assert_eq!(on.ejections, 1, "continued degradation must eject");
+        assert!(
+            on.first_probation_s >= 0.0 && on.first_probation_s <= 300.0,
+            "probation within ten detector ticks of the degrade, got +{} s",
+            on.first_probation_s
+        );
+        assert!(
+            on.first_eject_s > on.first_probation_s && on.first_eject_s <= 480.0,
+            "bounded escalation to ejection, got +{} s",
+            on.first_eject_s
+        );
+        assert!(
+            on.replaced >= 1,
+            "the autoscaler must replace the ejected replica"
+        );
+        assert_eq!(
+            off.probations + off.ejections,
+            0,
+            "control row takes no action"
+        );
+        assert!(
+            on.fleet_p99_s < 0.5 * off.fleet_p99_s,
+            "detector must recover the fleet p99 ({} s) well below the control ({} s)",
+            on.fleet_p99_s,
+            off.fleet_p99_s
+        );
+        // the captured exposition snapshot must satisfy the strict parser
+        scenario::check_exposition(&on.prom);
+        assert!(
+            on.timeseries
+                .starts_with("series,t_s,count,sum,max,p50,p95,p99\n"),
+            "time-series CSV header drifted"
+        );
+    }
 }

@@ -5,9 +5,17 @@
 //! Every figure-regeneration binary (`fig6`, `fig7`, `fig8`,
 //! `scalability`, `netsweep`, `diskio`, `overhead`) and the criterion
 //! benches build on the same blocking [`Runner`] around a
-//! [`Deployment`], plus the figure-rendering helpers here. Binaries print
-//! the same series the paper plots (ASCII charts + row tables) so
+//! [`Deployment`], plus the figure pipelines and rendering helpers here.
+//! The fig6/7/8 binaries, the golden test, the trace test and the perf
+//! baselines run the same [`fig6_pipeline`], [`fig7_pipeline`] and
+//! [`fig8_pipeline`] and plot the same series lists. Binaries print the
+//! same series the paper plots (ASCII charts + row tables) so
 //! EXPERIMENTS.md can quote exact numbers.
+//!
+//! The fleet tiers (`fleetscale`, `chaos`, `affinity`, `grayfail`, `geo`,
+//! `millionuser`, `rollout`, `noisyneighbor`) are each declared once as a
+//! [`scenario::Scenario`]; their binaries, golden tests and CI tier rows
+//! all run that declaration.
 
 pub mod affinity;
 pub mod chaos;
@@ -17,8 +25,10 @@ pub mod grayfail;
 pub mod millionuser;
 pub mod noisyneighbor;
 pub mod rollout;
+pub mod scenario;
 
 use std::cell::{Cell, RefCell};
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use onserve::deployment::{Deployment, DeploymentSpec};
@@ -26,7 +36,7 @@ use onserve::profile::ExecutionProfile;
 use onserve::PublishedService;
 use simkit::metrics::Series;
 use simkit::report::{ascii_chart_rows, series_table};
-use simkit::{Sim, SimTime};
+use simkit::{Duration, Sim, SimTime};
 use wsstack::{SoapFault, SoapValue};
 
 /// A deployment plus its simulator, with blocking-style verbs.
@@ -129,6 +139,111 @@ impl Runner {
     }
 }
 
+/// One published and once-invoked executable, drained.
+pub struct Invoked {
+    /// The drained system.
+    pub r: Runner,
+    /// When the invocation was issued.
+    pub t0: SimTime,
+    /// The invocation's answer.
+    pub output: SoapValue,
+    /// When the answer arrived.
+    pub done_at: SimTime,
+}
+
+fn publish_and_invoke(
+    seed: u64,
+    telemetry: bool,
+    exe: &str,
+    len: usize,
+    profile: ExecutionProfile,
+) -> Invoked {
+    let mut r = Runner::new(seed, &DeploymentSpec::default());
+    if telemetry {
+        r.sim.enable_telemetry();
+    }
+    r.publish(exe, len, profile, &[]);
+    let t0 = r.sim.now();
+    let (res, done_at) = r.invoke_blocking(exe.trim_end_matches(".exe"), &[]);
+    let output = res.expect("invocation");
+    Invoked {
+        r,
+        t0,
+        output,
+        done_at,
+    }
+}
+
+/// The Figure 6 pipeline: seed 6, a very small (64 B) `small.exe` whose
+/// job runs ~60 s and writes a 48 KB output the poller keeps re-fetching,
+/// published and invoked once.
+pub fn fig6_pipeline(telemetry: bool) -> Invoked {
+    let profile = ExecutionProfile::quick()
+        .lasting(Duration::from_secs(60))
+        .producing(48.0 * KB);
+    publish_and_invoke(6, telemetry, "small.exe", 64, profile)
+}
+
+/// The Figure 7 pipeline: seed 7, a ~5 MB `large.exe` (45 s, 32 KB
+/// output), published and invoked once.
+pub fn fig7_pipeline(telemetry: bool) -> Invoked {
+    let profile = ExecutionProfile::quick()
+        .lasting(Duration::from_secs(45))
+        .producing(32.0 * KB);
+    publish_and_invoke(7, telemetry, "large.exe", 5 * 1024 * 1024, profile)
+}
+
+/// The Figure 8 pipeline: seed 8, a 5 MB portal upload sampled every
+/// `interval`.
+pub fn fig8_pipeline(interval: Duration, telemetry: bool) -> Runner {
+    let mut r = Runner::with_sampling(8, &DeploymentSpec::default(), interval);
+    if telemetry {
+        r.sim.enable_telemetry();
+    }
+    let len = 5 * 1024 * 1024;
+    r.publish("upload5mb.exe", len, ExecutionProfile::quick(), &[]);
+    r
+}
+
+const CPU: (&str, &str) = ("appliance.cpu.busy", "CPU utilization");
+const NET_OUT: (&str, &str) = ("appliance.net.out.bytes", "network out");
+const NET_IN: (&str, &str) = ("appliance.net.in.bytes", "network in");
+const DISK_WRITE: (&str, &str) = ("appliance.disk.write.bytes", "hard disk write");
+const DISK_READ: (&str, &str) = ("appliance.disk.read.bytes", "hard disk read");
+
+/// `(recorder series, legend label)` of Figure 6's curves, in plot order.
+pub const FIG6_SERIES: [(&str, &str); 5] = [CPU, NET_OUT, NET_IN, DISK_WRITE, DISK_READ];
+/// Figure 7's curves.
+pub const FIG7_SERIES: [(&str, &str); 4] = [NET_OUT, NET_IN, DISK_WRITE, DISK_READ];
+/// Figure 8's curves.
+pub const FIG8_SERIES: [(&str, &str); 4] = [CPU, NET_IN, DISK_WRITE, DISK_READ];
+
+/// A figure's curves from `sim`'s recorder, rebased at `t0` and trimmed:
+/// CPU busy time in %, byte counters per second in `rate`, a
+/// `(unit, bytes per unit)` pair such as `("KB/s", KB)`.
+pub fn figure_curves(
+    sim: &Sim,
+    t0: SimTime,
+    series: &[(&str, &str)],
+    rate: (&str, f64),
+) -> Vec<Curve> {
+    let rec = sim.recorder_ref();
+    let iv = rec.interval().as_secs_f64();
+    let mut curves: Vec<Curve> = series
+        .iter()
+        .map(|&(name, label)| {
+            let (unit, scale) = if name == CPU.0 {
+                ("%", 100.0 / iv)
+            } else {
+                (rate.0, 1.0 / (iv * rate.1))
+            };
+            curve_from(rec.series(name), t0, label, unit, scale)
+        })
+        .collect();
+    trim_curves(&mut curves);
+    curves
+}
+
 /// One plotted curve: label, y-axis unit, `(t, value)` rows.
 pub struct Curve {
     /// Legend label.
@@ -217,28 +332,43 @@ pub fn render_figure(title: &str, note: &str, curves: &[Curve]) -> String {
 /// The paper's KB (1024 bytes).
 pub const KB: f64 = 1024.0;
 
-/// Parse `--trace <path>` (or `--trace=<path>`) from the process
-/// arguments. Figure binaries use this to opt into telemetry: when the
-/// flag is present they enable tracing on the simulator and dump a
-/// Chrome trace-event file at exit.
-pub fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
+/// Parse `--trace <path>` (or `--trace=<path>`) from `args`, the process
+/// arguments after the program name; other arguments are skipped. A
+/// `--trace` with no path after it, or with another flag where the path
+/// belongs, is an error.
+pub fn parse_trace_arg(mut args: impl Iterator<Item = String>) -> Result<Option<PathBuf>, String> {
     while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(p));
-        }
+        let path = match a.strip_prefix("--trace=") {
+            Some(p) => Some(p.to_owned()),
+            None if a == "--trace" => args.next(),
+            None => continue,
+        };
+        return match path {
+            Some(p) if !p.is_empty() && !p.starts_with('-') => Ok(Some(PathBuf::from(p))),
+            _ => Err("--trace needs an output path".to_owned()),
+        };
     }
-    None
+    Ok(None)
+}
+
+/// [`parse_trace_arg`] over the process arguments. Figure binaries use
+/// this to opt into telemetry: when the flag is present they enable
+/// tracing on the simulator and dump a Chrome trace-event file at exit. A
+/// malformed flag prints the error and a usage line and exits with
+/// status 2.
+pub fn trace_arg() -> Option<PathBuf> {
+    parse_trace_arg(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("error: {e}\nusage: {bin} [--trace <path>]");
+        std::process::exit(2)
+    })
 }
 
 /// Write the run's telemetry as Chrome trace-event JSON to `path`
 /// (loadable in Perfetto / `chrome://tracing`; timestamps are virtual
 /// microseconds) and print the span-tree summary plus kernel profile to
 /// stderr.
-pub fn write_trace(sim: &Sim, path: &std::path::Path) -> std::io::Result<()> {
+pub fn write_trace(sim: &Sim, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, sim.export_chrome_trace())?;
     eprintln!(
         "(trace written to {}; load it at https://ui.perfetto.dev)",
@@ -275,22 +405,24 @@ where
         .collect()
 }
 
-/// Write a figure's curves to `target/experiments/<name>.csv` so the data
-/// behind every regenerated figure can be re-plotted with external tools.
-/// Returns the path written.
-pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<std::path::PathBuf> {
+/// A figure's curves as CSV: a shared time column, then one
+/// `label (unit)` column per curve.
+pub fn curves_csv(curves: &[Curve]) -> String {
     let headers: Vec<String> = curves
         .iter()
         .map(|c| format!("{} ({})", c.label, c.unit))
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let rows: Vec<&[(f64, f64)]> = curves.iter().map(|c| c.rows.as_slice()).collect();
-    let csv = simkit::report::curves_to_csv(&header_refs, &rows);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, csv)?;
-    Ok(path)
+    simkit::report::curves_to_csv(&header_refs, &rows)
+}
+
+/// Write a figure's curves to `target/experiments/<name>.csv` so the data
+/// behind every regenerated figure can be re-plotted with external tools.
+/// Returns the path written.
+pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<PathBuf> {
+    let dir = Path::new(scenario::OUT_DIR);
+    scenario::write_file(dir, &format!("{name}.csv"), &curves_csv(curves))
 }
 
 #[cfg(test)]
@@ -345,6 +477,19 @@ mod tests {
         assert!(text.starts_with("t_seconds,net (KB/s)"));
         assert!(text.contains("3,2.5"));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn trace_arg_needs_a_path() {
+        let parse = |args: &[&str]| parse_trace_arg(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--ci"]), Ok(None));
+        let want = Ok(Some(PathBuf::from("t.json")));
+        assert_eq!(parse(&["--trace", "t.json"]), want);
+        assert_eq!(parse(&["--ci", "--trace=t.json"]), want);
+        assert!(parse(&["--trace"]).is_err(), "no path after --trace");
+        assert!(parse(&["--trace", "--x"]).is_err(), "a flag is not a path");
+        assert!(parse(&["--trace="]).is_err(), "an empty path is no path");
     }
 
     #[test]

@@ -21,20 +21,19 @@
 //! returned separately and asserted against a floor by the binary, never
 //! written to the golden file.
 //!
-//! Shared by the `millionuser` binary and the golden determinism test so
-//! both always describe the same experiment.
+//! [`MillionUser`] declares the experiment for the bench harness
+//! ([`crate::scenario`]): the golden test runs its CI row, and the
+//! `millionuser` binary runs either scale through that one declaration.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use fleet::{
-    start_open_loop, AffinityConfig, ArrivalProcess, Fleet, FleetSpec, Mix, Policy, Request,
-    StorageTopology, SubmitFn,
+    start_open_loop, AffinityConfig, ArrivalProcess, FleetSpec, Mix, Policy, Request, SubmitFn,
 };
-use onserve::profile::ExecutionProfile;
 use simkit::{Duration, Sim, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, Scenario};
 
 /// Seed for the whole run — boot, arrivals, and principal draws.
 pub const SEED: u64 = 0x1_000_000;
@@ -113,6 +112,8 @@ pub struct MillionUserPoint {
     pub mean_latency_s: f64,
     /// 95th-percentile request latency, seconds.
     pub p95_latency_s: f64,
+    /// Host-side kernel throughput of the measured window; never a cell.
+    pub host: HostThroughput,
 }
 
 /// Wall-clock kernel throughput of one run — never part of the CSV.
@@ -139,7 +140,10 @@ impl DistinctPrincipals {
     }
 
     fn observe(&self, principal: &str) {
-        let Some(k) = principal.strip_prefix('u').and_then(|s| s.parse::<u64>().ok()) else {
+        let Some(k) = principal
+            .strip_prefix('u')
+            .and_then(|s| s.parse::<u64>().ok())
+        else {
             return;
         };
         let mut bits = self.bits.borrow_mut();
@@ -152,9 +156,7 @@ impl DistinctPrincipals {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
+    let mut spec = scenario::fleet_spec(REPLICAS);
     spec.dispatcher.policy = Policy::RoundRobin;
     spec.dispatcher.max_in_flight = 4096;
     spec.dispatcher.affinity = Some(AffinityConfig {
@@ -165,103 +167,155 @@ fn fleet_spec() -> FleetSpec {
     spec
 }
 
-/// Run one scale: boot the fleet, publish one service, offer the scale's
-/// diurnal population-keyed traffic, and drain. Returns the
-/// virtual-time row plus the host-side throughput of the measured window.
-pub fn run_point(scale: Scale) -> (MillionUserPoint, HostThroughput) {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start the replicas
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_millis(500))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
+/// One row per scale: the CI shrink by default, the full day when the
+/// binary asks for it. The CSV holds virtual-time state only, so
+/// same-seed runs are byte-identical.
+pub struct MillionUser;
 
-    let until = sim.now() + Duration::from_secs(scale.horizon_secs);
-    let distinct = Rc::new(DistinctPrincipals::new(scale.population));
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let d2 = Rc::clone(&distinct);
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| {
-        if let Request::Invoke {
-            principal: Some(p), ..
-        } = &req
-        {
-            d2.observe(p);
+impl Scenario for MillionUser {
+    type Row = Scale;
+    type Point = MillionUserPoint;
+    const NAME: &'static str = "millionuser";
+    const ROWS: &'static [Scale] = &[CI];
+    const COLUMNS: &'static str =
+        "scale,population,issued,completed,faulted,distinct_principals,events,affinity_hits,affinity_misses,mean_latency_s,p95_latency_s";
+
+    /// Boot the fleet, publish one service, offer the scale's diurnal
+    /// population-keyed traffic, and drain, timing the measured window on
+    /// the host.
+    fn run(&scale: &Scale) -> MillionUserPoint {
+        let mut sim = Sim::new(SEED);
+        let lasting = Duration::from_millis(500);
+        let fleet = scenario::boot(&mut sim, fleet_spec(), lasting, 16.0 * KB);
+
+        let until = sim.now() + Duration::from_secs(scale.horizon_secs);
+        let distinct = Rc::new(DistinctPrincipals::new(scale.population));
+        let dispatch = scenario::sink(&fleet);
+        let d2 = Rc::clone(&distinct);
+        let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| {
+            if let Request::Invoke {
+                principal: Some(p), ..
+            } = &req
+            {
+                d2.observe(p);
+            }
+            dispatch(sim, req, done)
+        });
+        let stats = start_open_loop(
+            &mut sim,
+            ArrivalProcess::Diurnal {
+                base_rate: scale.base_rps,
+                peak_rate: scale.peak_rps,
+                period: Duration::from_secs(scale.period_secs),
+            },
+            Mix::invoke_population(&["app"], scale.population),
+            sink,
+            until,
+        );
+
+        let events_before = sim.events_executed();
+        let t0 = std::time::Instant::now();
+        sim.run(); // the measured window: the diurnal cycles plus drain
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let events = sim.events_executed();
+
+        let c = fleet.dispatcher().counters();
+        assert_eq!(
+            c.accepted,
+            c.completed + c.faulted,
+            "request conservation violated"
+        );
+        MillionUserPoint {
+            label: scale.label,
+            population: scale.population,
+            issued: stats.issued(),
+            completed: stats.completed(),
+            faulted: stats.faulted(),
+            distinct_principals: distinct.count.get(),
+            events,
+            affinity_hits: c.affinity_hits,
+            affinity_misses: c.affinity_misses,
+            mean_latency_s: stats.latency_mean(),
+            p95_latency_s: stats.latency_percentile(95.0),
+            host: HostThroughput {
+                events_per_sec: (events - events_before) as f64 / wall_secs.max(1e-9),
+                wall_secs,
+            },
         }
-        dispatcher.submit(sim, req, done)
-    });
-    let stats = start_open_loop(
-        &mut sim,
-        ArrivalProcess::Diurnal {
-            base_rate: scale.base_rps,
-            peak_rate: scale.peak_rps,
-            period: Duration::from_secs(scale.period_secs),
-        },
-        Mix::invoke_population(&["app"], scale.population),
-        sink,
-        until,
-    );
-
-    let events_before = sim.events_executed();
-    let t0 = std::time::Instant::now();
-    sim.run(); // the measured window: the diurnal cycles plus drain
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let events = sim.events_executed();
-
-    let c = fleet.dispatcher().counters();
-    assert_eq!(
-        c.accepted,
-        c.completed + c.faulted,
-        "request conservation violated"
-    );
-    let point = MillionUserPoint {
-        label: scale.label,
-        population: scale.population,
-        issued: stats.issued(),
-        completed: stats.completed(),
-        faulted: stats.faulted(),
-        distinct_principals: distinct.count.get(),
-        events,
-        affinity_hits: c.affinity_hits,
-        affinity_misses: c.affinity_misses,
-        mean_latency_s: stats.latency_mean(),
-        p95_latency_s: stats.latency_percentile(95.0),
-    };
-    let throughput = HostThroughput {
-        events_per_sec: (events - events_before) as f64 / wall_secs.max(1e-9),
-        wall_secs,
-    };
-    (point, throughput)
-}
-
-/// Render rows as the CSV committed under `tests/golden/` (CI row) and
-/// written to `target/experiments/` by the binary. Virtual-time state
-/// only — no wall-clock columns — so same-seed runs are byte-identical.
-pub fn csv(points: &[MillionUserPoint]) -> String {
-    let mut out = String::from(
-        "scale,population,issued,completed,faulted,distinct_principals,events,affinity_hits,affinity_misses,mean_latency_s,p95_latency_s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{:.4},{:.4}\n",
-            p.label,
-            p.population,
-            p.issued,
-            p.completed,
-            p.faulted,
-            p.distinct_principals,
-            p.events,
-            p.affinity_hits,
-            p.affinity_misses,
-            p.mean_latency_s,
-            p.p95_latency_s
-        ));
     }
-    out
+
+    fn cells(p: &MillionUserPoint) -> Vec<String> {
+        vec![
+            p.label.to_string(),
+            p.population.to_string(),
+            p.issued.to_string(),
+            p.completed.to_string(),
+            p.faulted.to_string(),
+            p.distinct_principals.to_string(),
+            p.events.to_string(),
+            p.affinity_hits.to_string(),
+            p.affinity_misses.to_string(),
+            format!("{:.4}", p.mean_latency_s),
+            format!("{:.4}", p.p95_latency_s),
+        ]
+    }
+
+    fn summary(points: &[MillionUserPoint]) -> String {
+        let line = |p: &MillionUserPoint| {
+            format!(
+                "issued {} (completed {}, faulted {}) from {} distinct principals\n\
+                 affinity: {} sticky hits, {} pins (pin table capacity {})\n\
+                 latency: mean {:.3} s, p95 {:.3} s\n\
+                 kernel: {} events in {:.1} s wall — {:.2}M events/sec",
+                p.issued,
+                p.completed,
+                p.faulted,
+                p.distinct_principals,
+                p.affinity_hits,
+                p.affinity_misses,
+                AFFINITY_CAPACITY,
+                p.mean_latency_s,
+                p.p95_latency_s,
+                p.events,
+                p.host.wall_secs,
+                p.host.events_per_sec / 1e6
+            )
+        };
+        points.iter().map(line).collect::<Vec<_>>().join("\n")
+    }
+
+    /// The shape the CI shrink shares with the full run: a churning pin
+    /// table (population ≫ capacity is only true at full scale, but even
+    /// here every distinct principal pins once), conservation at the front
+    /// door, and a population actually sampled broadly.
+    fn check(points: &[MillionUserPoint]) {
+        let point = &points[0];
+        assert_eq!(
+            point.issued,
+            point.completed + point.faulted,
+            "every issued request must settle"
+        );
+        assert_eq!(point.faulted, 0, "no faults in a quiet fleet");
+        assert_eq!(
+            point.affinity_misses, point.distinct_principals,
+            "each distinct principal pins exactly once below pin-table capacity"
+        );
+        assert!(
+            point.affinity_hits > 0,
+            "repeat principals must ride their pins"
+        );
+        // With n draws from a population p, distinct ≈ p(1 − e^(−n/p)); at the
+        // CI scale that is well over half the population.
+        assert!(
+            point.distinct_principals * 2 > point.population,
+            "CI run must sample most of its population ({} of {})",
+            point.distinct_principals,
+            point.population
+        );
+        assert!(
+            point.events > 500_000,
+            "CI run must be kernel-heavy, saw {} events",
+            point.events
+        );
+    }
 }

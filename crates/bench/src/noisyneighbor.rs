@@ -23,19 +23,19 @@
 //! Prometheus exposition (`tenant="..."` labels appear only in the QoS
 //! row).
 //!
-//! Shared by the `noisyneighbor` binary and the golden determinism test
-//! so both always describe the same experiment.
+//! [`NoisyNeighbor`] declares the experiment for the bench harness
+//! ([`crate::scenario`]); the `noisyneighbor` binary and the golden test
+//! both run that one declaration.
 
 use std::rc::Rc;
 
 use fleet::{
-    start_open_loop, ArrivalProcess, Fleet, FleetSpec, HealthConfig, HealthPlane, Mix, Policy,
-    QosConfig, QosTier, StorageTopology, SubmitFn,
+    start_open_loop, ArrivalProcess, FleetSpec, HealthConfig, HealthPlane, Mix, Policy, QosConfig,
+    QosTier,
 };
-use onserve::profile::ExecutionProfile;
 use simkit::{Duration, Sim, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, Scenario};
 
 /// Seed shared by all rows.
 pub const SEED: u64 = 0x9019;
@@ -82,9 +82,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// All rows, in golden-CSV order.
-    pub const ALL: [Mode; 3] = [Mode::Base, Mode::QosOff, Mode::QosOn];
-
     /// The CSV row label.
     pub fn label(self) -> &'static str {
         match self {
@@ -126,9 +123,7 @@ pub struct NoisyPoint {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
+    let mut spec = scenario::fleet_spec(REPLICAS);
     spec.dispatcher.policy = Policy::RoundRobin;
     spec.dispatcher.max_in_flight = MAX_IN_FLIGHT;
     spec
@@ -148,128 +143,209 @@ pub fn qos_config() -> QosConfig {
     }
 }
 
-/// Run one row: boot, publish, offer the behaved stream (plus the flood
-/// in non-base rows) and read the tenant-sliced stats at the end.
-pub fn run_point(mode: Mode) -> NoisyPoint {
-    let mut sim = Sim::new(SEED);
-    sim.enable_telemetry();
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start the replicas
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(2))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
-    let plane = HealthPlane::new(HealthConfig::default());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    if mode == Mode::QosOn {
-        fleet.dispatcher().set_qos(qos_config());
-    }
-    let until = sim.now() + horizon();
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
-    // the behaved generator forks its rng stream FIRST, so its arrival
-    // schedule is bit-identical whether or not the flood starts
-    let behaved_targets: Vec<(String, String)> = (1..=BEHAVED_TENANTS)
-        .map(|i| ("app".to_owned(), format!("user{i}")))
-        .collect();
-    let behaved_refs: Vec<(&str, &str)> = behaved_targets
-        .iter()
-        .map(|(s, p)| (s.as_str(), p.as_str()))
-        .collect();
-    let behaved = start_open_loop(
-        &mut sim,
-        ArrivalProcess::Poisson { rate: BEHAVED_RPS },
-        Mix::invoke_as(&behaved_refs),
-        Rc::clone(&sink),
-        until,
-    );
-    behaved.track_tenants();
-    let flood = (mode != Mode::Base).then(|| {
-        start_open_loop(
+/// Three rows: no flood, flood with QoS off, flood with QoS on.
+pub struct NoisyNeighbor;
+
+impl Scenario for NoisyNeighbor {
+    type Row = Mode;
+    type Point = NoisyPoint;
+    const NAME: &'static str = "noisyneighbor";
+    const ROWS: &'static [Mode] = &[Mode::Base, Mode::QosOff, Mode::QosOn];
+    const COLUMNS: &'static str =
+        "mode,behaved_issued,behaved_ok,behaved_shed,behaved_p99_s,worst_p99_s,flood_issued,flood_ok,flood_shed,flood_p99_s,door_queued,door_shed";
+
+    /// Boot, publish, offer the behaved stream (plus the flood in
+    /// non-base rows) and read the tenant-sliced stats at the end.
+    fn run(&mode: &Mode) -> NoisyPoint {
+        let mut sim = Sim::new(SEED);
+        sim.enable_telemetry();
+        let fleet = scenario::boot(&mut sim, fleet_spec(), Duration::from_secs(2), 16.0 * KB);
+        let plane = HealthPlane::new(HealthConfig::default());
+        fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+        if mode == Mode::QosOn {
+            fleet.dispatcher().set_qos(qos_config());
+        }
+        let until = sim.now() + horizon();
+        // the behaved generator forks its rng stream FIRST, so its arrival
+        // schedule is bit-identical whether or not the flood starts
+        let behaved_targets: Vec<(String, String)> = (1..=BEHAVED_TENANTS)
+            .map(|i| ("app".to_owned(), format!("user{i}")))
+            .collect();
+        let behaved_refs: Vec<(&str, &str)> = behaved_targets
+            .iter()
+            .map(|(s, p)| (s.as_str(), p.as_str()))
+            .collect();
+        let behaved = start_open_loop(
             &mut sim,
-            ArrivalProcess::Poisson { rate: FLOOD_RPS },
-            Mix::invoke_as(&[("app", FLOOD_TENANT)]),
-            sink,
+            ArrivalProcess::Poisson { rate: BEHAVED_RPS },
+            Mix::invoke_as(&behaved_refs),
+            scenario::sink(&fleet),
             until,
-        )
-    });
-    sim.run(); // drain every outstanding request
-    let end = sim.now();
-    // conservation: the generators' ledgers close, and so does the door's
-    assert_eq!(behaved.issued(), behaved.completed() + behaved.faulted());
-    if let Some(f) = &flood {
-        assert_eq!(f.issued(), f.completed() + f.faulted());
-    }
-    let c = fleet.dispatcher().counters();
-    assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
-    let offered = behaved.issued() + flood.as_ref().map_or(0, |f| f.issued());
-    assert_eq!(c.accepted + c.shed, offered, "door ledger");
-    if mode == Mode::QosOn {
-        for (t, s) in fleet.dispatcher().qos_tenants() {
-            assert_eq!(
-                s.issued,
-                s.accepted + s.shed,
-                "{t}: per-tenant conservation after drain"
-            );
-            assert_eq!(s.queued, 0, "{t}: door queue drained");
-            assert_eq!(s.in_flight, 0, "{t}: per-tenant in-flight drained");
+        );
+        behaved.track_tenants();
+        let flood = (mode != Mode::Base).then(|| {
+            start_open_loop(
+                &mut sim,
+                ArrivalProcess::Poisson { rate: FLOOD_RPS },
+                Mix::invoke_as(&[("app", FLOOD_TENANT)]),
+                scenario::sink(&fleet),
+                until,
+            )
+        });
+        sim.run(); // drain every outstanding request
+        let end = sim.now();
+        // conservation: the generators' ledgers close, and so does the door's
+        assert_eq!(behaved.issued(), behaved.completed() + behaved.faulted());
+        if let Some(f) = &flood {
+            assert_eq!(f.issued(), f.completed() + f.faulted());
+        }
+        let c = fleet.dispatcher().counters();
+        assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
+        let offered = behaved.issued() + flood.as_ref().map_or(0, |f| f.issued());
+        assert_eq!(c.accepted + c.shed, offered, "door ledger");
+        if mode == Mode::QosOn {
+            for (t, s) in fleet.dispatcher().qos_tenants() {
+                assert_eq!(
+                    s.issued,
+                    s.accepted + s.shed,
+                    "{t}: per-tenant conservation after drain"
+                );
+                assert_eq!(s.queued, 0, "{t}: door queue drained");
+                assert_eq!(s.in_flight, 0, "{t}: per-tenant in-flight drained");
+            }
+        }
+        let worst_p99_s = behaved
+            .tenants()
+            .iter()
+            .map(|t| behaved.tenant_latency_percentile(t, 99.0))
+            .fold(0.0, f64::max);
+        let t = sim.telemetry().expect("telemetry on");
+        NoisyPoint {
+            mode,
+            behaved_issued: behaved.issued(),
+            behaved_ok: behaved.completed(),
+            behaved_shed: behaved.faulted(),
+            behaved_p99_s: behaved.latency_percentile(99.0),
+            worst_p99_s,
+            flood_issued: flood.as_ref().map_or(0, |f| f.issued()),
+            flood_ok: flood.as_ref().map_or(0, |f| f.completed()),
+            flood_shed: flood.as_ref().map_or(0, |f| f.faulted()),
+            flood_p99_s: flood.as_ref().map_or(0.0, |f| f.latency_percentile(99.0)),
+            door_queued: t.counter("dispatcher.qos_enqueued"),
+            door_shed: t.counter("dispatcher.qos_shed"),
+            prom: plane.prometheus_text(end),
         }
     }
-    let worst_p99_s = behaved
-        .tenants()
-        .iter()
-        .map(|t| behaved.tenant_latency_percentile(t, 99.0))
-        .fold(0.0, f64::max);
-    let t = sim.telemetry().expect("telemetry on");
-    NoisyPoint {
-        mode,
-        behaved_issued: behaved.issued(),
-        behaved_ok: behaved.completed(),
-        behaved_shed: behaved.faulted(),
-        behaved_p99_s: behaved.latency_percentile(99.0),
-        worst_p99_s,
-        flood_issued: flood.as_ref().map_or(0, |f| f.issued()),
-        flood_ok: flood.as_ref().map_or(0, |f| f.completed()),
-        flood_shed: flood.as_ref().map_or(0, |f| f.faulted()),
-        flood_p99_s: flood.as_ref().map_or(0.0, |f| f.latency_percentile(99.0)),
-        door_queued: t.counter("dispatcher.qos_enqueued"),
-        door_shed: t.counter("dispatcher.qos_shed"),
-        prom: plane.prometheus_text(end),
-    }
-}
 
-/// Run all three rows in parallel.
-pub fn sweep() -> Vec<NoisyPoint> {
-    crate::par_sweep(&Mode::ALL, |_, &mode| run_point(mode))
-}
-
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[NoisyPoint]) -> String {
-    let mut out = String::from(
-        "mode,behaved_issued,behaved_ok,behaved_shed,behaved_p99_s,worst_p99_s,flood_issued,flood_ok,flood_shed,flood_p99_s,door_queued,door_shed\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{:.4},{:.4},{},{},{},{:.4},{},{}\n",
-            p.mode.label(),
-            p.behaved_issued,
-            p.behaved_ok,
-            p.behaved_shed,
-            p.behaved_p99_s,
-            p.worst_p99_s,
-            p.flood_issued,
-            p.flood_ok,
-            p.flood_shed,
-            p.flood_p99_s,
-            p.door_queued,
-            p.door_shed,
-        ));
+    fn cells(p: &NoisyPoint) -> Vec<String> {
+        vec![
+            p.mode.label().to_string(),
+            p.behaved_issued.to_string(),
+            p.behaved_ok.to_string(),
+            p.behaved_shed.to_string(),
+            format!("{:.4}", p.behaved_p99_s),
+            format!("{:.4}", p.worst_p99_s),
+            p.flood_issued.to_string(),
+            p.flood_ok.to_string(),
+            p.flood_shed.to_string(),
+            format!("{:.4}", p.flood_p99_s),
+            p.door_queued.to_string(),
+            p.door_shed.to_string(),
+        ]
     }
-    out
+
+    /// The QoS-on row's tenant-labelled exposition.
+    fn snapshots(points: &[NoisyPoint]) -> Vec<(&'static str, String)> {
+        let on = points.iter().find(|p| p.mode == Mode::QosOn).expect("on");
+        vec![("noisyneighbor.prom", on.prom.clone())]
+    }
+
+    fn summary(points: &[NoisyPoint]) -> String {
+        let row = |m: Mode| points.iter().find(|p| p.mode == m).expect("row");
+        let (base, off, on) = (row(Mode::Base), row(Mode::QosOff), row(Mode::QosOn));
+        format!(
+            "QoS off lets the flooder inflate behaved p99 {:.1}x over baseline ({:.1} s -> {:.1} s);\n\
+             QoS on holds it at {:.2}x baseline ({:.1} s) and pushes the backlog onto the flooder (p99 {:.0} s, {} shed)",
+            off.behaved_p99_s / base.behaved_p99_s,
+            base.behaved_p99_s,
+            off.behaved_p99_s,
+            on.behaved_p99_s / base.behaved_p99_s,
+            on.behaved_p99_s,
+            on.flood_p99_s,
+            on.flood_shed
+        )
+    }
+
+    /// The fairness contract, row by row: with QoS off one flooding
+    /// tenant collapses the behaved tenants' p99 (at least 5x the no-flood
+    /// baseline); with QoS on the behaved tenants hold within 1.2x of the
+    /// baseline while the flooder's own p99 degrades and its backlog
+    /// queues and sheds at the door. Tenant labels appear in the
+    /// exposition only when the QoS plane is on.
+    fn check(points: &[NoisyPoint]) {
+        let row = |m: Mode| points.iter().find(|p| p.mode == m).expect("row");
+        let (base, off, on) = (row(Mode::Base), row(Mode::QosOff), row(Mode::QosOn));
+        for p in points {
+            assert_eq!(
+                p.behaved_issued, base.behaved_issued,
+                "behaved stream is forked first: identical across rows"
+            );
+            assert_eq!(
+                p.behaved_ok + p.behaved_shed,
+                p.behaved_issued,
+                "conservation: every behaved request settles"
+            );
+            assert_eq!(
+                p.flood_ok + p.flood_shed,
+                p.flood_issued,
+                "conservation: every flood request settles"
+            );
+        }
+        assert_eq!(base.flood_issued, 0, "no flood in the baseline row");
+        assert_eq!(
+            off.flood_issued, on.flood_issued,
+            "same seed must offer the same flood"
+        );
+        // QoS off: the flooder fills the global window and the behaved
+        // tenants' p99 collapses
+        assert!(
+            off.behaved_p99_s >= 5.0 * base.behaved_p99_s,
+            "without QoS the flood must collapse behaved p99 ({} s vs baseline {} s)",
+            off.behaved_p99_s,
+            base.behaved_p99_s
+        );
+        assert_eq!(off.door_queued + off.door_shed, 0, "no QoS stage when off");
+        // QoS on: every behaved tenant holds near the baseline — the worst
+        // single tenant, not just the aggregate
+        assert!(
+            on.worst_p99_s <= 1.2 * base.behaved_p99_s,
+            "with QoS the worst behaved tenant must stay within 1.2x baseline ({} s vs {} s)",
+            on.worst_p99_s,
+            base.behaved_p99_s
+        );
+        assert_eq!(on.behaved_shed, 0, "QoS must not shed behaved work");
+        // ... while the flooder pays: degraded latency, door queueing, sheds
+        assert!(
+            on.flood_p99_s >= 5.0 * on.behaved_p99_s,
+            "the flooder's p99 must degrade under QoS ({} s vs behaved {} s)",
+            on.flood_p99_s,
+            on.behaved_p99_s
+        );
+        assert!(
+            on.door_queued > 0,
+            "the flooder's backlog must transit the door queue"
+        );
+        assert!(on.flood_shed > 0, "the flooder's overflow must shed");
+        // the QoS-on exposition carries per-tenant series and satisfies the
+        // strict parser; the QoS-off exposition carries none
+        scenario::check_exposition(&on.prom);
+        assert!(
+            on.prom.contains(r#"tenant=""#),
+            "QoS-on exposition must carry tenant labels"
+        );
+        assert!(
+            !off.prom.contains(r#"tenant=""#),
+            "QoS-off exposition must stay tenant-label free"
+        );
+    }
 }

@@ -22,22 +22,21 @@
 //! strategy is the only variable. The golden test pins the CSV
 //! byte-for-byte and asserts the contract row by row.
 //!
-//! Shared by the `rollout` binary and the golden determinism test so
-//! both always describe the same experiment.
+//! [`Rollout`] declares the experiment for the bench harness
+//! ([`crate::scenario`]); the `rollout` binary and the golden test both
+//! run that one declaration.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use fleet::{
-    AffinityConfig, CanaryConfig, ChaosMonkey, Fleet, FleetSpec, HealthConfig, HealthPlane,
-    Policy, Request, RolloutConfig, RolloutController, RolloutOutcome, RolloutStrategy,
-    StorageTopology,
+    AffinityConfig, CanaryConfig, ChaosMonkey, FleetSpec, HealthConfig, HealthPlane, Policy,
+    RolloutConfig, RolloutController, RolloutOutcome, RolloutStrategy,
 };
-use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, SimTime, KB};
+use simkit::{Duration, Sim, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::scenario::{self, Scenario};
 
 /// Seed shared by all four rows — arrivals, boots, and pin placement
 /// must be identical so the strategy is the only variable.
@@ -160,9 +159,7 @@ pub struct RolloutPoint {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
+    let mut spec = scenario::fleet_spec(REPLICAS);
     spec.dispatcher.policy = Policy::RoundRobin;
     spec.dispatcher.max_in_flight = 1024;
     // canary pin shifts ride the affinity plane
@@ -171,187 +168,211 @@ fn fleet_spec() -> FleetSpec {
     spec
 }
 
-/// Fixed-interval pacer cycling three tenants, counting completions.
-fn pace(
-    sim: &mut Sim,
-    fleet: &Rc<Fleet>,
-    until: SimTime,
-    n: u64,
-    issued: Rc<Cell<u64>>,
-    ok: Rc<Cell<u64>>,
-    bad: Rc<Cell<u64>>,
-) {
-    if sim.now() > until {
-        return;
-    }
-    const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
-    issued.set(issued.get() + 1);
-    let (c, f) = (Rc::clone(&ok), Rc::clone(&bad));
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal: Some(TENANTS[(n % 3) as usize].into()),
-        },
-        Box::new(move |_, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let fl = Rc::clone(fleet);
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, until, n + 1, issued, ok, bad)
-    });
-}
+/// Four rows, one per upgrade strategy.
+pub struct Rollout;
 
-/// Run one row with an explicit lemon seed (only the rollback row arms
-/// the lemon). [`run_point`] is the pinned-seed entry everything else
-/// uses.
-pub fn run_point_seeded(mode: RolloutMode, lemon_seed: u64) -> RolloutPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_millis(200))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
-    let plane = HealthPlane::new(health_config());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let t0 = sim.now();
-    let until = t0 + horizon();
-    let monkey = (mode == RolloutMode::CanaryRollback).then(|| {
-        ChaosMonkey::unleash(
-            &mut sim,
-            &fleet,
-            &FaultPlan::new(lemon_seed).slow_at(lemon_offset(), SLOW_FACTOR),
+impl Scenario for Rollout {
+    type Row = RolloutMode;
+    type Point = RolloutPoint;
+    const NAME: &'static str = "rollout";
+    const ROWS: &'static [RolloutMode] = &[
+        RolloutMode::Restart,
+        RolloutMode::Rolling,
+        RolloutMode::CanaryPromote,
+        RolloutMode::CanaryRollback,
+    ];
+    const COLUMNS: &'static str =
+        "mode,issued,completed,dropped,failed,replaced,rollbacks,outcome,versions,fleet_p99_s";
+
+    /// Run one row under the pinned [`LEMON_SEED`] (only the rollback row
+    /// arms the lemon), asserting the outcome the row exists to
+    /// demonstrate.
+    fn run(&mode: &RolloutMode) -> RolloutPoint {
+        let mut sim = Sim::new(SEED);
+        let lasting = Duration::from_millis(200);
+        let fleet = scenario::boot(&mut sim, fleet_spec(), lasting, 16.0 * KB);
+        let plane = HealthPlane::new(health_config());
+        fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+        let until = sim.now() + horizon();
+        let monkey = (mode == RolloutMode::CanaryRollback).then(|| {
+            ChaosMonkey::unleash(
+                &mut sim,
+                &fleet,
+                &FaultPlan::new(LEMON_SEED).slow_at(lemon_offset(), SLOW_FACTOR),
+            )
+        });
+        let cfg = match mode {
+            RolloutMode::Restart => RolloutConfig::restart(TO_VERSION),
+            RolloutMode::Rolling => RolloutConfig {
+                min_healthy: 2,
+                ..RolloutConfig::rolling(TO_VERSION)
+            },
+            RolloutMode::CanaryPromote | RolloutMode::CanaryRollback => RolloutConfig {
+                strategy: RolloutStrategy::Canary(canary_config()),
+                min_healthy: 2,
+                ..RolloutConfig::rolling(TO_VERSION)
+            },
+        };
+        let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
+        let (f2, c2) = (Rc::clone(&fleet), Rc::clone(&ctl));
+        sim.schedule(roll_offset(), move |sim| {
+            *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
+        });
+        let paced = scenario::pace(&mut sim, &fleet, arrival_gap(), until, |_, n| {
+            scenario::tenant_of_three(n)
+        });
+        sim.run_until(until);
+        // the final-lookback p99 and the exposition, read before the drain
+        let fleet_p99_s = plane.fleet_p99(sim.now()).unwrap_or(-1.0);
+        let prom = plane.prometheus_text(sim.now());
+        sim.run(); // drain everything still in flight
+        if let Some(m) = &monkey {
+            assert_eq!(m.slowed(), 1, "the pinned lemon strike landed");
+        }
+        let ctl = ctl.borrow().clone().expect("rollout started");
+        let c = fleet.dispatcher().counters();
+        let (issued, ok) = (paced.issued.get(), paced.ok.get());
+        assert_eq!(c.accepted + c.shed, issued, "door ledger");
+        assert_eq!(
+            ok + paced.bad.get(),
+            c.accepted + c.shed,
+            "every request answered"
+        );
+        assert_eq!(fleet.dispatcher().in_flight(), 0, "drained");
+        let versions = fleet
+            .version_counts()
+            .into_iter()
+            .map(|(v, n)| format!("{v}:{n}"))
+            .collect::<Vec<_>>()
+            .join("|");
+        let p = RolloutPoint {
+            mode,
+            issued,
+            completed: ok,
+            dropped: issued - ok,
+            failed: c.faulted,
+            replaced: ctl.replaced(),
+            rollbacks: ctl.rollbacks(),
+            outcome: match ctl.outcome() {
+                None => "pending",
+                Some(RolloutOutcome::Completed) => "completed",
+                Some(RolloutOutcome::Promoted) => "promoted",
+                Some(RolloutOutcome::RolledBack) => "rolled-back",
+            },
+            versions,
+            fleet_p99_s,
+            prom,
+        };
+        let want = match mode {
+            RolloutMode::Restart | RolloutMode::Rolling => "completed",
+            RolloutMode::CanaryPromote => "promoted",
+            RolloutMode::CanaryRollback => "rolled-back",
+        };
+        assert_eq!(p.outcome, want, "{} rollout outcome", p.mode.label());
+        if mode == RolloutMode::CanaryRollback {
+            assert_eq!(p.rollbacks, 1, "exactly one rollback");
+        }
+        p
+    }
+
+    fn cells(p: &RolloutPoint) -> Vec<String> {
+        vec![
+            p.mode.label().to_string(),
+            p.issued.to_string(),
+            p.completed.to_string(),
+            p.dropped.to_string(),
+            p.failed.to_string(),
+            p.replaced.to_string(),
+            p.rollbacks.to_string(),
+            p.outcome.to_string(),
+            p.versions.clone(),
+            format!("{:.4}", p.fleet_p99_s),
+        ]
+    }
+
+    /// The promoted canary's exposition.
+    fn snapshots(points: &[RolloutPoint]) -> Vec<(&'static str, String)> {
+        let promote = points
+            .iter()
+            .find(|p| p.mode == RolloutMode::CanaryPromote)
+            .expect("promote row");
+        vec![("rollout.prom", promote.prom.clone())]
+    }
+
+    fn summary(points: &[RolloutPoint]) -> String {
+        let row = |m: RolloutMode| points.iter().find(|p| p.mode == m).expect("row");
+        let (restart, rolling) = (row(RolloutMode::Restart), row(RolloutMode::Rolling));
+        format!(
+            "restart drops {} of {} requests; rolling drops {} — same seed, same schedule",
+            restart.dropped, restart.issued, rolling.dropped
         )
-    });
-    let cfg = match mode {
-        RolloutMode::Restart => RolloutConfig::restart(TO_VERSION),
-        RolloutMode::Rolling => RolloutConfig {
-            min_healthy: 2,
-            ..RolloutConfig::rolling(TO_VERSION)
-        },
-        RolloutMode::CanaryPromote | RolloutMode::CanaryRollback => RolloutConfig {
-            strategy: RolloutStrategy::Canary(canary_config()),
-            min_healthy: 2,
-            ..RolloutConfig::rolling(TO_VERSION)
-        },
-    };
-    let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
-    let (f2, c2) = (Rc::clone(&fleet), Rc::clone(&ctl));
-    sim.schedule(roll_offset(), move |sim| {
-        *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
-    });
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    pace(
-        &mut sim,
-        &fleet,
-        until,
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-    );
-    sim.run_until(until);
-    // the final-lookback p99 and the exposition, read before the drain
-    let fleet_p99_s = plane.fleet_p99(sim.now()).unwrap_or(-1.0);
-    let prom = plane.prometheus_text(sim.now());
-    sim.run(); // drain everything still in flight
-    if let Some(m) = &monkey {
-        assert_eq!(m.slowed(), 1, "the pinned lemon strike landed");
     }
-    let ctl = ctl.borrow().clone().expect("rollout started");
-    let c = fleet.dispatcher().counters();
-    assert_eq!(c.accepted + c.shed, issued.get(), "door ledger");
-    assert_eq!(ok.get() + bad.get(), c.accepted + c.shed, "every request answered");
-    assert_eq!(fleet.dispatcher().in_flight(), 0, "drained");
-    let versions = fleet
-        .version_counts()
-        .into_iter()
-        .map(|(v, n)| format!("{v}:{n}"))
-        .collect::<Vec<_>>()
-        .join("|");
-    RolloutPoint {
-        mode,
-        issued: issued.get(),
-        completed: ok.get(),
-        dropped: issued.get() - ok.get(),
-        failed: c.faulted,
-        replaced: ctl.replaced(),
-        rollbacks: ctl.rollbacks(),
-        outcome: match ctl.outcome() {
-            None => "pending",
-            Some(RolloutOutcome::Completed) => "completed",
-            Some(RolloutOutcome::Promoted) => "promoted",
-            Some(RolloutOutcome::RolledBack) => "rolled-back",
-        },
-        versions,
-        fleet_p99_s,
-        prom,
-    }
-}
 
-/// Run one row under the pinned [`LEMON_SEED`], asserting the outcome
-/// the row exists to demonstrate.
-pub fn run_point(mode: RolloutMode) -> RolloutPoint {
-    let p = run_point_seeded(mode, LEMON_SEED);
-    let want = match mode {
-        RolloutMode::Restart | RolloutMode::Rolling => "completed",
-        RolloutMode::CanaryPromote => "promoted",
-        RolloutMode::CanaryRollback => "rolled-back",
-    };
-    assert_eq!(p.outcome, want, "{} rollout outcome", p.mode.label());
-    if mode == RolloutMode::CanaryRollback {
-        assert_eq!(p.rollbacks, 1, "exactly one rollback");
+    /// The zero-downtime contract, row by row: the naive restart drops
+    /// work, rolling and canary drop nothing, the promoted canary
+    /// completes the version shift, and the lemon-struck canary rolls
+    /// back exactly once with the fleet p99 recovered.
+    fn check(points: &[RolloutPoint]) {
+        let row = |m: RolloutMode| points.iter().find(|p| p.mode == m).expect("row");
+        let restart = row(RolloutMode::Restart);
+        let rolling = row(RolloutMode::Rolling);
+        let promote = row(RolloutMode::CanaryPromote);
+        let rollback = row(RolloutMode::CanaryRollback);
+        for p in points {
+            assert_eq!(
+                p.issued, restart.issued,
+                "same seed must offer the same load"
+            );
+            assert_eq!(
+                p.completed + p.dropped,
+                p.issued,
+                "conservation: every request settles"
+            );
+        }
+        // the naive baseline loses real work: in-flight requests fault at
+        // the kill and arrivals during the boot window are refused
+        assert!(restart.dropped > 0, "restart must drop work");
+        assert!(restart.failed > 0, "restart must fault what was in flight");
+        // rolling drops nothing — retirement drains, boots precede retires
+        assert_eq!(rolling.dropped, 0, "rolling drops nothing");
+        assert_eq!(rolling.failed, 0, "rolling faults nothing");
+        assert_eq!(rolling.replaced, 3, "rolling replaces every v1 replica");
+        assert_eq!(
+            rolling.versions,
+            format!("{TO_VERSION}:3"),
+            "rolling lands on v2"
+        );
+        // the healthy canary is promoted and the version shift completes
+        assert_eq!(promote.dropped, 0, "canary promotion drops nothing");
+        assert_eq!(promote.outcome, "promoted");
+        assert_eq!(
+            promote.versions,
+            format!("{TO_VERSION}:3"),
+            "promotion lands on v2"
+        );
+        // the lemon-struck canary rolls back exactly once, the fleet stays
+        // on v1, and the final-window p99 is back at the rolling baseline
+        assert_eq!(rollback.rollbacks, 1, "exactly one rollback");
+        assert_eq!(rollback.outcome, "rolled-back");
+        assert_eq!(
+            rollback.versions, "1:3",
+            "rollback reverts the census to v1"
+        );
+        assert_eq!(rollback.dropped, 0, "the drained canary loses nothing");
+        assert!(
+            rollback.fleet_p99_s > 0.0 && rollback.fleet_p99_s <= 1.5 * rolling.fleet_p99_s,
+            "fleet p99 must recover after the rollback ({} s vs rolling {} s)",
+            rollback.fleet_p99_s,
+            rolling.fleet_p99_s
+        );
+        // the promoted fleet's exposition carries the new version label and
+        // satisfies the strict parser
+        scenario::check_exposition(&promote.prom);
+        assert!(
+            promote
+                .prom
+                .contains(&format!(r#"version="v{TO_VERSION}""#)),
+            "per-replica series must carry the promoted version label"
+        );
     }
-    p
-}
-
-/// Run all four rows in parallel.
-pub fn sweep() -> Vec<RolloutPoint> {
-    crate::par_sweep(
-        &[
-            RolloutMode::Restart,
-            RolloutMode::Rolling,
-            RolloutMode::CanaryPromote,
-            RolloutMode::CanaryRollback,
-        ],
-        |_, &mode| run_point(mode),
-    )
-}
-
-/// Render the sweep as the CSV committed under `tests/golden/`.
-pub fn csv(points: &[RolloutPoint]) -> String {
-    let mut out = String::from(
-        "mode,issued,completed,dropped,failed,replaced,rollbacks,outcome,versions,fleet_p99_s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{:.4}\n",
-            p.mode.label(),
-            p.issued,
-            p.completed,
-            p.dropped,
-            p.failed,
-            p.replaced,
-            p.rollbacks,
-            p.outcome,
-            p.versions,
-            p.fleet_p99_s,
-        ));
-    }
-    out
 }

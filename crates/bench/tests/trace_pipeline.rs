@@ -8,27 +8,12 @@
 //! JSON, monotone timestamps, balanced `B`/`E` pairs, resolvable parent
 //! references — all enforced by `validate_chrome_trace`).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{Runner, KB};
+use onserve_bench::Runner;
 use simkit::telemetry::validate_chrome_trace;
-use simkit::Duration;
 
 /// The fig6 scenario with telemetry on, drained to completion.
 fn traced_fig6() -> Runner {
-    let mut r = Runner::new(6, &DeploymentSpec::default());
-    r.sim.enable_telemetry();
-    r.publish(
-        "small.exe",
-        64,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(60))
-            .producing(48.0 * KB),
-        &[],
-    );
-    let (res, _) = r.invoke_blocking("small", &[]);
-    res.expect("invocation");
-    r
+    onserve_bench::fig6_pipeline(true).r
 }
 
 #[test]

@@ -28,80 +28,34 @@ fi
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> chaos tier (golden + soak)"
-cargo test -q -p onserve-bench --test golden_determinism chaos_sweep_matches_golden
-cargo test -q -p onserve-fleet --test chaos
-
-echo "==> chaos bench determinism (two same-seed runs, byte-identical CSV)"
-cargo run --release -q -p onserve-bench --bin chaos > /dev/null
-cp target/experiments/chaos.csv target/experiments/chaos-run1.csv
-cargo run --release -q -p onserve-bench --bin chaos > /dev/null
-cmp target/experiments/chaos-run1.csv target/experiments/chaos.csv
-
-echo "==> affinity tier (golden + determinism)"
-cargo test -q -p onserve-bench --test golden_determinism affinity_sweep_matches_golden
-cargo run --release -q -p onserve-bench --bin affinity > /dev/null
-cp target/experiments/affinity.csv target/experiments/affinity-run1.csv
-cargo run --release -q -p onserve-bench --bin affinity > /dev/null
-cmp target/experiments/affinity-run1.csv target/experiments/affinity.csv
-
-echo "==> grayfail tier (golden + health soak)"
-cargo test -q -p onserve-bench --test golden_determinism grayfail_sweep_matches_golden
-cargo test -q -p onserve-fleet --test health
-
-echo "==> grayfail bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin grayfail > /dev/null
-cp target/experiments/grayfail.csv target/experiments/grayfail-run1.csv
-cp target/experiments/grayfail.prom target/experiments/grayfail-run1.prom
-cargo run --release -q -p onserve-bench --bin grayfail > /dev/null
-cmp target/experiments/grayfail-run1.csv target/experiments/grayfail.csv
-cmp target/experiments/grayfail-run1.prom target/experiments/grayfail.prom
-
-echo "==> geo tier (golden + proptests)"
-cargo test -q -p onserve-bench --test golden_determinism geo_sweep_matches_golden
-cargo test -q -p onserve-fleet --test proptests geo
-cargo test -q -p onserve-fleet --test proptests fleet_conserves_requests_under_site_outages_and_link_faults
-
-echo "==> geo bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin geo > /dev/null
-cp target/experiments/geo.csv target/experiments/geo-run1.csv
-cp target/experiments/geo.prom target/experiments/geo-run1.prom
-cargo run --release -q -p onserve-bench --bin geo > /dev/null
-cmp target/experiments/geo-run1.csv target/experiments/geo.csv
-cmp target/experiments/geo-run1.prom target/experiments/geo.prom
-
-echo "==> millionuser tier (golden + determinism, CI scale)"
-cargo test -q -p onserve-bench --test golden_determinism millionuser_ci_matches_golden
-cargo run --release -q -p onserve-bench --bin millionuser -- --ci > /dev/null
-cp target/experiments/millionuser.csv target/experiments/millionuser-run1.csv
-cargo run --release -q -p onserve-bench --bin millionuser -- --ci > /dev/null
-cmp target/experiments/millionuser-run1.csv target/experiments/millionuser.csv
-
-echo "==> rollout tier (golden + proptests + chaos-crossed scenarios)"
-cargo test -q -p onserve-bench --test golden_determinism rollout_sweep_matches_golden
-cargo test -q -p onserve-fleet --test rollout
-cargo test -q -p onserve-fleet --test proptests rollouts_hold_the_floor_keep_pins_live_and_replay
-
-echo "==> rollout bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin rollout > /dev/null
-cp target/experiments/rollout.csv target/experiments/rollout-run1.csv
-cp target/experiments/rollout.prom target/experiments/rollout-run1.prom
-cargo run --release -q -p onserve-bench --bin rollout > /dev/null
-cmp target/experiments/rollout-run1.csv target/experiments/rollout.csv
-cmp target/experiments/rollout-run1.prom target/experiments/rollout.prom
-
-echo "==> qos tier (golden + tier-survival suite + fairness proptest)"
-cargo test -q -p onserve-bench --test golden_determinism noisyneighbor_sweep_matches_golden
-cargo test -q -p onserve-fleet --test qos
-cargo test -q -p onserve-fleet --test proptests qos_conserves_per_tenant_and_never_starves_underquota_tenants
-
-echo "==> noisyneighbor bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
-cp target/experiments/noisyneighbor.csv target/experiments/noisyneighbor-run1.csv
-cp target/experiments/noisyneighbor.prom target/experiments/noisyneighbor-run1.prom
-cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
-cmp target/experiments/noisyneighbor-run1.csv target/experiments/noisyneighbor.csv
-cmp target/experiments/noisyneighbor-run1.prom target/experiments/noisyneighbor.prom
+# One row per fleet bench tier: name|bin args|tests|files. Each test is
+# package:test-target[:filter]; each file is one the tier binary writes
+# under target/experiments/. The loop runs the tests, then runs the binary
+# twice with the same seed and requires every file byte-identical.
+tiers=(
+  "fleetscale||onserve-bench:golden_determinism:fleetscale_sweep_matches_golden|fleetscale.csv"
+  "chaos||onserve-bench:golden_determinism:chaos_sweep_matches_golden onserve-fleet:chaos|chaos.csv"
+  "affinity||onserve-bench:golden_determinism:affinity_sweep_matches_golden|affinity.csv"
+  "grayfail||onserve-bench:golden_determinism:grayfail_sweep_matches_golden onserve-fleet:health|grayfail.csv grayfail.prom grayfail_timeseries.csv"
+  "geo||onserve-bench:golden_determinism:geo_sweep_matches_golden onserve-fleet:proptests:geo onserve-fleet:proptests:fleet_conserves_requests_under_site_outages_and_link_faults|geo.csv geo.prom"
+  "millionuser|--ci|onserve-bench:golden_determinism:millionuser_ci_matches_golden|millionuser.csv"
+  "rollout||onserve-bench:golden_determinism:rollout_sweep_matches_golden onserve-fleet:rollout onserve-fleet:proptests:rollouts_hold_the_floor_keep_pins_live_and_replay|rollout.csv rollout.prom"
+  "noisyneighbor||onserve-bench:golden_determinism:noisyneighbor_sweep_matches_golden onserve-fleet:qos onserve-fleet:proptests:qos_conserves_per_tenant_and_never_starves_underquota_tenants|noisyneighbor.csv noisyneighbor.prom"
+)
+for row in "${tiers[@]}"; do
+  IFS='|' read -r tier args tests files <<< "$row"
+  echo "==> ${tier} tier (tests + two same-seed runs, byte-identical ${files})"
+  for t in $tests; do
+    IFS=: read -r pkg target filter <<< "$t"
+    cargo test -q -p "$pkg" --test "$target" ${filter:+"$filter"}
+  done
+  outs=$(printf 'target/experiments/%s ' $files)
+  # shellcheck disable=SC2086 # args and outs are word lists
+  cargo run --release -q -p onserve-bench --bin "$tier" -- $args > /dev/null
+  for f in $outs; do mv "$f" "$f.run1"; done
+  cargo run --release -q -p onserve-bench --bin "$tier" -- $args > /dev/null
+  for f in $outs; do cmp "$f.run1" "$f"; done
+done
 
 echo "==> perfbench smoke (public API + recorded virtual-result digests, untraced and traced)"
 # perfbench is its own Cargo package that calls only the public API; each
